@@ -132,3 +132,61 @@ func TestDurableCursorEdgesAcrossRestart(t *testing.T) {
 		t.Fatalf("final state: %d listings cursor %d, want %d/3", got, s.Cursor(), want)
 	}
 }
+
+// TestDurableCommitFailureIs503: a WAL append that fails behind the handler
+// is a server fault. The POST answers 503 with the cursor unchanged, and the
+// wedged store keeps answering 503 to the same batch, never 400, so a
+// producer retries a valid delta instead of dropping it. A malformed delta
+// is still the producer's fault.
+func TestDurableCommitFailureIs503(t *testing.T) {
+	snap := corpus(t)
+	records := snap.Records()
+	var deltas []ingest.Delta
+	for seq := 0; seq < 2; seq++ {
+		d := ingest.Delta{Seq: uint64(seq)}
+		for _, rec := range records[seq*10 : (seq+1)*10] {
+			d.Listings = append(d.Listings, listingFor(snap, rec))
+		}
+		deltas = append(deltas, d)
+	}
+
+	inj := errfs.NewInjector(errfs.New())
+	s, err := durable.Open(durable.Options{
+		FS: inj, Dir: "data",
+		Ingest: ingest.Options{Enrich: enrichOpts(), CrawlTime: snap.CrawlTime},
+	})
+	if err != nil {
+		t.Fatalf("open: %v", err)
+	}
+	defer s.Close()
+	h := ingest.Handler(s)
+	if code, res, _ := postDelta(t, h, deltas[0]); code != http.StatusOK || !res.Applied {
+		t.Fatalf("seq 0: code %d res %+v", code, res)
+	}
+	listings := s.Dataset().NumListings()
+
+	// Fail the next filesystem operation: the WAL append of seq 1.
+	inj.Arm(len(inj.Log()), errfs.ModeErr, nil)
+	code, _, cursor := postDelta(t, h, deltas[1])
+	if code != http.StatusServiceUnavailable || cursor != 1 {
+		t.Fatalf("failed WAL append: code %d cursor %d, want 503 at cursor 1", code, cursor)
+	}
+	if inj.Hits() != 1 {
+		t.Fatalf("fault hit %d operations, want 1", inj.Hits())
+	}
+	if s.Cursor() != 1 || s.Dataset().NumListings() != listings {
+		t.Fatalf("failed commit changed state: cursor %d, %d listings", s.Cursor(), s.Dataset().NumListings())
+	}
+
+	// The fault is gone but the log is wedged: the same batch is still a
+	// server fault.
+	code, _, cursor = postDelta(t, h, deltas[1])
+	if code != http.StatusServiceUnavailable || cursor != 1 {
+		t.Fatalf("re-POST to wedged store: code %d cursor %d, want 503 at cursor 1", code, cursor)
+	}
+
+	bad := ingest.Delta{Seq: 1, Listings: []ingest.Listing{{}}}
+	if code, _, _ := postDelta(t, h, bad); code != http.StatusBadRequest {
+		t.Fatalf("invalid listing: code %d, want 400", code)
+	}
+}

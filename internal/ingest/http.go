@@ -41,7 +41,9 @@ type Applier interface {
 
 // Handler serves the delta feed over HTTP: GET returns the CursorState, POST
 // applies one Delta and returns its Result. A cursor gap answers 409 with the
-// expected cursor so the producer can resync without a second round trip.
+// expected cursor so the producer can resync without a second round trip; a
+// commit failure answers 503, since the delta was fine and the server was
+// not; any other rejection is the delta's fault and answers 400.
 func Handler(ing Applier) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		switch r.Method {
@@ -62,8 +64,11 @@ func Handler(ing Applier) http.HandlerFunc {
 			res, err := ing.Apply(d)
 			if err != nil {
 				status := http.StatusBadRequest
-				if errors.Is(err, ErrCursorGap) {
+				switch {
+				case errors.Is(err, ErrCursorGap):
 					status = http.StatusConflict
+				case errors.Is(err, ErrCommit):
+					status = http.StatusServiceUnavailable
 				}
 				writeJSON(w, status, ingestError{Error: err.Error(), Cursor: res.Cursor})
 				return

@@ -14,6 +14,9 @@
 //   - Seq >  cursor: ErrCursorGap (HTTP 409) — the producer skipped ahead;
 //     nothing changes, it must resync from the cursor endpoint.
 //
+// A batch the backend fails to persist returns ErrCommit (HTTP 503): nothing
+// changes, and the producer retries the same batch later.
+//
 // The feed is append-only at (market, package) granularity: a key already
 // ingested is skipped (and counted), never updated — matching the paper's
 // one-shot crawl semantics where a listing is observed once. Deltas may
@@ -66,6 +69,12 @@ type Result struct {
 
 // ErrCursorGap is returned when a delta's Seq skips ahead of the cursor.
 var ErrCursorGap = errors.New("ingest: delta seq is ahead of the cursor")
+
+// ErrCommit wraps a failed Options.Commit: the batch was valid and at the
+// cursor, but the backend could not persist it (a failed or wedged
+// write-ahead log). It is a server fault, not a bad delta; the cursor and
+// dataset are unchanged and the producer should retry later.
+var ErrCommit = errors.New("ingest: commit failed")
 
 // Options configures an Ingestor.
 type Options struct {
@@ -192,7 +201,7 @@ func (ing *Ingestor) Apply(d Delta) (Result, error) {
 	// acknowledgement therefore always means "replayable from the log".
 	if ing.opts.Commit != nil {
 		if err := ing.opts.Commit(d); err != nil {
-			return res, fmt.Errorf("ingest: commit seq %d: %w", d.Seq, err)
+			return res, fmt.Errorf("%w: seq %d: %w", ErrCommit, d.Seq, err)
 		}
 	}
 

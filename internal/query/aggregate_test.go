@@ -277,6 +277,38 @@ func TestAggregateMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestAggregateRangeWindowsMatchOracle filters random aggregations by
+// randomWindowQuery's 2–3 bounds on one sorted field (merged windows,
+// inverted ones, == plus a range, dates under mixed offsets), on the indexed
+// engine and on an unindexed one where every bound is a residual predicate.
+func TestAggregateRangeWindowsMatchOracle(t *testing.T) {
+	const requestsPerSeed = 120
+	for seed := int64(71); seed <= 74; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			rows := windowRows(rng, 50+rng.Intn(400))
+			engines := []*Engine[row]{NewEngine(testIndexedRegistry(), rows), NewEngine(testRegistry(), rows)}
+			for i := 0; i < requestsPerSeed; i++ {
+				a := randomAggregate(rng)
+				a.Filters = randomWindowQuery(rng).Filters
+				for _, e := range engines {
+					planned, err1 := e.Aggregate(a)
+					oracle, err2 := e.AggregateOracle(a)
+					if (err1 == nil) != (err2 == nil) {
+						t.Fatalf("request %d (%+v): planned err %v, oracle err %v", i, a, err1, err2)
+					}
+					if err1 != nil {
+						continue
+					}
+					requireSameAggregate(t, a, planned, oracle)
+				}
+			}
+		})
+	}
+}
+
 // TestAggregateMatchesOracleParallel runs the equivalence over a dataset
 // large enough that matching, grouping and the per-group fan-out all cross
 // the parallel threshold.
@@ -376,6 +408,8 @@ func FuzzAggregate(f *testing.F) {
 	f.Add([]byte(`{"aggregates":[{"op":"distinct","field":"market"},{"op":"topk","field":"name","k":2}]}`))
 	f.Add([]byte(`{"group_by":["size"],"aggregates":[{"op":"count","where":[{"field":"flagged","op":"==","value":true}],"as":"bad"}],"filters":[{"field":"rating","op":"is_null","value":false}]}`))
 	f.Add([]byte(`{"group_by":["date"],"aggregates":[{"op":"min","field":"name"},{"op":"max","field":"rating"}]}`))
+	f.Add([]byte(`{"group_by":["market"],"aggregates":[{"op":"count"}],"filters":[{"field":"date","op":">=","value":"2018-05-02"},{"field":"date","op":"<","value":"2018-05-05T08:00:00+08:00"}]}`))
+	f.Add([]byte(`{"group_by":["flagged"],"aggregates":[{"op":"mean","field":"size"}],"filters":[{"field":"rating","op":">","value":1.5},{"field":"rating","op":"<=","value":3},{"field":"rating","op":"==","value":2.5}]}`))
 
 	rng := rand.New(rand.NewSource(5))
 	e := NewEngine(testIndexedRegistry(), randomRows(rng, 64))

@@ -306,7 +306,7 @@ func (c *column) compareRows(a, b int) int {
 	case KindBool:
 		return cmpBool(c.bools[a], c.bools[b])
 	case KindTime:
-		return cmpTime(c.times[a], c.times[b])
+		return c.times[a].Compare(c.times[b])
 	}
 	return 0
 }
@@ -324,7 +324,7 @@ func (c *column) compareOperand(i int, operand any) int {
 	case KindBool:
 		return cmpBool(c.bools[i], operand.(bool))
 	case KindTime:
-		return cmpTime(c.times[i], operand.(time.Time))
+		return c.times[i].Compare(operand.(time.Time))
 	}
 	return 0
 }
@@ -344,16 +344,6 @@ func cmpBool(x, y bool) int {
 	case !x && y:
 		return -1
 	case x && !y:
-		return 1
-	}
-	return 0
-}
-
-func cmpTime(x, y time.Time) int {
-	switch {
-	case x.Before(y):
-		return -1
-	case x.After(y):
 		return 1
 	}
 	return 0

@@ -1,7 +1,8 @@
 package query
 
 import (
-	"slices"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 )
@@ -136,24 +137,44 @@ func (ix *hashIndex) dictBM(operand any) *bitmap {
 
 // mergePostings unions several posting lists (the in operator) into a fresh
 // ascending, duplicate-free row list; duplicate operands in the in-list must
-// not double-count rows.
+// not double-count rows. Each list is ascending, so its ends bound the
+// bitset rowOrder sets the rows in.
 func mergePostings(lists [][]int32) []int32 {
+	first, last := int32(math.MaxInt32), int32(-1)
+	for _, l := range lists {
+		if len(l) > 0 {
+			first, last = min(first, l[0]), max(last, l[len(l)-1])
+		}
+	}
+	return rowOrder(first, last, lists...)
+}
+
+// rowOrder returns the distinct rows of lists in ascending dataset order.
+// Every row lies in [first, last]; the rows are set in a bitset covering only
+// the words between those two and read back in order, which costs
+// O(rows + (last-first)/64) where a sort costs O(rows log rows). The result
+// is never nil, even when there are no rows (last < first).
+func rowOrder(first, last int32, lists ...[]int32) []int32 {
+	if last < first {
+		return []int32{}
+	}
+	base := first &^ 63
+	set := newBitset(int(last-base) + 1)
 	total := 0
 	for _, l := range lists {
 		total += len(l)
-	}
-	out := make([]int32, 0, total)
-	for _, l := range lists {
-		out = append(out, l...)
-	}
-	slices.Sort(out)
-	dedup := out[:0]
-	for i, v := range out {
-		if i == 0 || v != out[i-1] {
-			dedup = append(dedup, v)
+		for _, row := range l {
+			set.set(int(row - base))
 		}
 	}
-	return dedup
+	out := make([]int32, 0, total)
+	for w, word := range set {
+		for word != 0 {
+			out = append(out, base+int32(w<<6)+int32(bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
+	return out
 }
 
 type sortedIndex struct {
@@ -238,17 +259,18 @@ func (ix *sortedIndex) spanBounds(op Op, operand any) (lo, hi int) {
 	return 0, 0
 }
 
-// spanRows materializes a spanBounds window as a fresh slice in ascending
-// dataset order.
-func (ix *sortedIndex) spanRows(op Op, lo, hi int) []int32 {
-	out := make([]int32, hi-lo)
-	copy(out, ix.perm[lo:hi])
-	if op != OpEq {
-		// An equality span is one value whose ties are already row-ordered;
-		// multi-value ranges are ordered by value first and need the sort.
-		slices.Sort(out)
+// spanRows materializes the permutation window [lo, hi) as a fresh slice in
+// ascending dataset order; an empty or inverted window yields no rows.
+func (ix *sortedIndex) spanRows(lo, hi int) []int32 {
+	if lo >= hi {
+		return []int32{}
 	}
-	return out
+	span := ix.perm[lo:hi]
+	first, last := span[0], span[0]
+	for _, row := range span[1:] {
+		first, last = min(first, row), max(last, row)
+	}
+	return rowOrder(first, last, span)
 }
 
 // hashFor / sortedFor build (at most once) the indexes of the field at

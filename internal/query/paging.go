@@ -32,7 +32,7 @@ import (
 //
 // Paged engines answer every query byte-identically (Fields, Rows,
 // TotalMatched) to a fully-materialized engine over the same rows: the
-// planner skips secondary indexes (indexLookup returns "no index" so every
+// planner skips secondary indexes (indexedOrd reports "no index" so every
 // filter runs as a residual scan — layout never changes results, only
 // Explain), and the column values themselves are either the snapshot's
 // validated planes or a rebuild through the same buildColumn the materialized

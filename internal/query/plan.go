@@ -3,6 +3,7 @@ package query
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -10,11 +11,12 @@ import (
 	"time"
 )
 
-// The planner: decide, per compiled filter, whether a secondary index can
-// answer it; intersect the resulting posting lists in dataset order; run the
-// remaining (residual) predicates as a typed column scan over only the
-// candidates; then sort — a bounded top-K selection when a limit applies —
-// and materialize rows straight from the column caches.
+// The planner: decide, per compiled filter — per field for the bounds a
+// sorted index answers, which merge into one window — whether a secondary
+// index can answer it; intersect the resulting posting lists in dataset
+// order; run the remaining (residual) predicates as a typed column scan over
+// only the candidates; then sort — a bounded top-K selection when a limit
+// applies — and materialize rows straight from the column caches.
 //
 // The contract, enforced by the randomized equivalence suite and the fuzz
 // target, is that Scan returns byte-identical Fields/Rows/TotalMatched to
@@ -41,22 +43,48 @@ func (l *indexedList) size() int {
 	return len(l.rows)
 }
 
-// indexCandidate is a filter an index could answer, before the planner has
-// decided to: count is the (upper-bound) row count known without
-// materializing, so a non-selective candidate is demoted for free instead
-// of paying an O(n log n) span copy it would then throw away.
+// indexCandidate is a filter a hash index could answer, before the planner
+// has decided to: count is the (upper-bound) row count known without
+// materializing, so a non-selective candidate is demoted for free instead of
+// paying for a posting-list union it would then throw away.
 type indexCandidate struct {
 	count       int
 	materialize func() indexedList
 }
 
+// sortedWindow is the conjunction of every bound one query puts on a
+// sorted-indexed field. Each bound matches one contiguous span of the
+// value-ordered permutation, so together they match exactly the span
+// [lo, hi) — empty when hi <= lo.
+type sortedWindow[T any] struct {
+	six     *sortedIndex
+	lo, hi  int
+	filters []compiledFilter[T]
+}
+
 // planFilters splits the compiled filters into index-answered posting lists
-// and residual predicates. A candidate covering more than half the dataset
-// is demoted to a residual predicate: walking (and materializing) its rows
-// would cost more than evaluating the filter inside the candidate scan.
+// and residual predicates. Range bounds, and == on kinds without a hash
+// index, merge per field into one sortedWindow first, so `a <= x AND x < b`
+// is one exact list instead of two half-open spans. A candidate covering
+// more than half the dataset — a merged window counts once — is demoted to
+// residual predicates: walking (and materializing) its rows would cost more
+// than evaluating the filters inside the candidate scan.
 func (e *Engine[T]) planFilters(filters []compiledFilter[T]) (lists []indexedList, residual []compiledFilter[T]) {
 	n := len(e.items)
+	var windows []sortedWindow[T]
 	for _, cf := range filters {
+		if six := e.sortedBound(cf); six != nil {
+			i := slices.IndexFunc(windows, func(w sortedWindow[T]) bool { return w.six == six })
+			if i < 0 {
+				i = len(windows)
+				windows = append(windows, sortedWindow[T]{six: six, hi: len(six.perm)})
+			}
+			w := &windows[i]
+			lo, hi := six.spanBounds(cf.op, cf.operand)
+			w.lo, w.hi = max(w.lo, lo), min(w.hi, hi)
+			w.filters = append(w.filters, cf)
+			continue
+		}
 		cand, ok := e.indexLookup(cf)
 		if !ok || cand.count > n/2 {
 			residual = append(residual, cf)
@@ -64,103 +92,122 @@ func (e *Engine[T]) planFilters(filters []compiledFilter[T]) (lists []indexedLis
 		}
 		lists = append(lists, cand.materialize())
 	}
+	for _, w := range windows {
+		if w.hi-w.lo > n/2 {
+			residual = append(residual, w.filters...)
+			continue
+		}
+		desc := "sorted(" + w.filters[0].field.Name + ")"
+		lists = append(lists, indexedList{rows: w.six.spanRows(w.lo, w.hi), desc: desc, owned: true})
+	}
 	return lists, residual
 }
 
-// indexLookup tries to answer one filter from a secondary index.
-func (e *Engine[T]) indexLookup(cf compiledFilter[T]) (indexCandidate, bool) {
+// indexedOrd returns the registration ordinal of cf's field when a secondary
+// index may answer it.
+func (e *Engine[T]) indexedOrd(cf compiledFilter[T]) (int, bool) {
 	if e.pager != nil {
 		// Paged engines plan without secondary indexes: building one would
 		// materialize a column outside the page budget, and a bitmap lookup
 		// on an absent index must read as "no index", never as "no rows".
 		// Every filter runs as a residual scan over the pinned columns —
 		// results are identical, only Explain differs.
-		return indexCandidate{}, false
+		return 0, false
 	}
-	f := cf.field
-	if !f.Indexable {
-		return indexCandidate{}, false
+	if !cf.field.Indexable {
+		return 0, false
 	}
-	ord, ok := e.ordinals[f.Name]
+	ord, ok := e.ordinals[cf.field.Name]
+	return ord, ok
+}
+
+// sortedBound returns the sorted index that answers cf as one permutation
+// span — a range bound, or == on a kind the hash index does not cover — or
+// nil when cf is no such filter or its field has no usable sorted index.
+func (e *Engine[T]) sortedBound(cf compiledFilter[T]) *sortedIndex {
+	switch cf.op {
+	case OpLt, OpLe, OpGt, OpGe:
+	case OpEq:
+		if hashable(cf.field.Kind) {
+			return nil
+		}
+	default:
+		return nil
+	}
+	ord, ok := e.indexedOrd(cf)
 	if !ok {
+		return nil
+	}
+	if six := e.sortedFor(ord); six.ok {
+		return six
+	}
+	return nil
+}
+
+// indexLookup tries to answer one == or in filter from a hash index.
+func (e *Engine[T]) indexLookup(cf compiledFilter[T]) (indexCandidate, bool) {
+	ord, ok := e.indexedOrd(cf)
+	f := cf.field
+	if !ok || !hashable(f.Kind) {
 		return indexCandidate{}, false
 	}
 	desc := ""
-	sortedSpan := func(op Op, operand any) (indexCandidate, bool) {
-		six := e.sortedFor(ord)
-		if !six.ok {
-			return indexCandidate{}, false
-		}
-		lo, hi := six.spanBounds(op, operand)
-		return indexCandidate{count: hi - lo, materialize: func() indexedList {
-			return indexedList{rows: six.spanRows(op, lo, hi), desc: desc, owned: true}
-		}}, true
-	}
 	switch cf.op {
 	case OpEq:
-		if hashable(f.Kind) {
-			ix := e.hashFor(ord)
-			if ix.dictBMs != nil {
-				desc = "bitmap(" + f.Name + ")"
-				bm := ix.dictBM(cf.operand)
-				count := 0
-				if bm != nil {
-					count = bm.n
-				}
-				return indexCandidate{count: count, materialize: func() indexedList {
-					if bm == nil {
-						// Non-nil empty rows: an intersection producing zero
-						// candidates must stay distinguishable from "no index
-						// applied" (nil), which means a full scan downstream.
-						return indexedList{rows: []int32{}, desc: desc, owned: true}
-					}
-					return indexedList{bm: bm, desc: desc}
-				}}, true
+		ix := e.hashFor(ord)
+		if ix.dictBMs != nil {
+			desc = "bitmap(" + f.Name + ")"
+			bm := ix.dictBM(cf.operand)
+			count := 0
+			if bm != nil {
+				count = bm.n
 			}
-			desc = "hash(" + f.Name + ")"
-			rows := ix.postings(cf.operand)
-			return indexCandidate{count: len(rows), materialize: func() indexedList {
-				return indexedList{rows: rows, desc: desc}
+			return indexCandidate{count: count, materialize: func() indexedList {
+				if bm == nil {
+					// Non-nil empty rows: an intersection producing zero
+					// candidates must stay distinguishable from "no index
+					// applied" (nil), which means a full scan downstream.
+					return indexedList{rows: []int32{}, desc: desc, owned: true}
+				}
+				return indexedList{bm: bm, desc: desc}
 			}}, true
 		}
-		desc = "sorted(" + f.Name + ")"
-		return sortedSpan(OpEq, cf.operand)
+		desc = "hash(" + f.Name + ")"
+		rows := ix.postings(cf.operand)
+		return indexCandidate{count: len(rows), materialize: func() indexedList {
+			return indexedList{rows: rows, desc: desc}
+		}}, true
 	case OpIn:
-		if hashable(f.Kind) {
-			ix := e.hashFor(ord)
-			if ix.dictBMs != nil {
-				// Union the per-code bitmaps eagerly: the OR costs O(result
-				// words), gives an exact (duplicate-free) count for the
-				// demotion check and is itself the materialized list.
-				desc = "bitmap(" + f.Name + ")"
-				bms := make([]*bitmap, 0, len(cf.operands))
-				for _, operand := range cf.operands {
-					if bm := ix.dictBM(operand); bm != nil {
-						bms = append(bms, bm)
-					}
-				}
-				merged := bmOrAll(bms)
-				return indexCandidate{count: merged.n, materialize: func() indexedList {
-					return indexedList{bm: merged, desc: desc}
-				}}, true
-			}
-			desc = "hash(" + f.Name + ")"
-			sub := make([][]int32, 0, len(cf.operands))
-			total := 0
+		ix := e.hashFor(ord)
+		if ix.dictBMs != nil {
+			// Union the per-code bitmaps eagerly: the OR costs O(result
+			// words), gives an exact (duplicate-free) count for the
+			// demotion check and is itself the materialized list.
+			desc = "bitmap(" + f.Name + ")"
+			bms := make([]*bitmap, 0, len(cf.operands))
 			for _, operand := range cf.operands {
-				rows := ix.postings(operand)
-				sub = append(sub, rows)
-				total += len(rows)
+				if bm := ix.dictBM(operand); bm != nil {
+					bms = append(bms, bm)
+				}
 			}
-			// total counts duplicate operands' rows twice; it is only the
-			// demotion upper bound, the merge dedups before intersection.
-			return indexCandidate{count: total, materialize: func() indexedList {
-				return indexedList{rows: mergePostings(sub), desc: desc, owned: true}
+			merged := bmOrAll(bms)
+			return indexCandidate{count: merged.n, materialize: func() indexedList {
+				return indexedList{bm: merged, desc: desc}
 			}}, true
 		}
-	case OpLt, OpLe, OpGt, OpGe:
-		desc = "sorted(" + f.Name + ")"
-		return sortedSpan(cf.op, cf.operand)
+		desc = "hash(" + f.Name + ")"
+		sub := make([][]int32, 0, len(cf.operands))
+		total := 0
+		for _, operand := range cf.operands {
+			rows := ix.postings(operand)
+			sub = append(sub, rows)
+			total += len(rows)
+		}
+		// total counts duplicate operands' rows twice; it is only the
+		// demotion upper bound, the merge dedups before intersection.
+		return indexCandidate{count: total, materialize: func() indexedList {
+			return indexedList{rows: mergePostings(sub), desc: desc, owned: true}
+		}}, true
 	}
 	return indexCandidate{}, false
 }
@@ -309,6 +356,9 @@ func (e *Engine[T]) predicate(cf compiledFilter[T]) func(int) bool {
 		}
 		vals := col.strs
 		return func(i int) bool { return !nulls.get(i) && opHolds(op, cmpOrdered(vals[i], want)) }
+	case KindTime:
+		vals, want := col.times, cf.operand.(time.Time)
+		return func(i int) bool { return !nulls.get(i) && opHolds(op, vals[i].Compare(want)) }
 	}
 	operand := cf.operand
 	return func(i int) bool { return !nulls.get(i) && opHolds(op, col.compareOperand(i, operand)) }

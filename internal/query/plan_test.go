@@ -2,10 +2,12 @@ package query
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -253,6 +255,192 @@ func TestPlannerExplain(t *testing.T) {
 	if res.Meta.TotalMatched != 1 {
 		t.Fatalf("TotalMatched = %d, want 1 (delta)", res.Meta.TotalMatched)
 	}
+
+	// A two-sided range merges into one sorted window that answers both
+	// bounds exactly. size > 50 alone spans 3 of 5 rows and would be
+	// demoted; the merged window (50, 100] holds only alpha.
+	res, err = e.Scan(Query{Fields: []string{"name"}, Filters: []Filter{
+		{Field: "size", Op: OpGt, Value: float64(50)},
+		{Field: "size", Op: OpLe, Value: float64(100)}}})
+	if err != nil {
+		t.Fatalf("scan: %v", err)
+	}
+	ex = res.Meta.Explain
+	if ex == nil || ex.IndexUsed != "sorted(size)" || ex.Candidates != 1 || ex.ResidualScanned != 0 {
+		t.Fatalf("two-sided window explain = %+v", ex)
+	}
+	wantNames(t, res, "alpha")
+}
+
+// zoneSpellings are the UTC offsets a test instant may be spelled in. The
+// same instant under two offsets must compare equal: ordering is by
+// instant, never by wall clock.
+var zoneSpellings = []*time.Location{time.UTC, time.FixedZone("CST", 8*3600), time.FixedZone("PDT", -7*3600)}
+
+// randomInstant draws one of twenty instants (ten days at a 12-hour step)
+// spelled in a random zone, so equal instants often differ in offset.
+func randomInstant(rng *rand.Rand) time.Time {
+	t := day(1 + rng.Intn(10)).Add(time.Duration(12*rng.Intn(2)) * time.Hour)
+	return t.In(zoneSpellings[rng.Intn(len(zoneSpellings))])
+}
+
+// windowRows is randomRows with dates drawn by randomInstant.
+func windowRows(rng *rand.Rand, n int) []row {
+	rows := randomRows(rng, n)
+	for i := range rows {
+		rows[i].date = randomInstant(rng)
+	}
+	return rows
+}
+
+// randomWindowQuery puts 2–3 bounds on one sorted field — size, rating or
+// date — so windows come out narrow, wide, inverted (empty) or pinned by an
+// == on the float and time fields. Sometimes a hash-indexed filter on
+// another field joins them.
+func randomWindowQuery(rng *rand.Rand) Query {
+	field := []string{"size", "rating", "date"}[rng.Intn(3)]
+	operand := func() any {
+		switch field {
+		case "size":
+			return float64(rng.Intn(45))
+		case "rating":
+			return float64(rng.Intn(50)) / 10
+		}
+		return randomInstant(rng).Format(time.RFC3339)
+	}
+	ops := []Op{OpLt, OpLe, OpGt, OpGe}
+	if field != "size" {
+		ops = append(ops, OpEq)
+	}
+	q := Query{Fields: []string{"name", field}}
+	for i := 2 + rng.Intn(2); i > 0; i-- {
+		q.Filters = append(q.Filters, Filter{Field: field, Op: ops[rng.Intn(len(ops))], Value: operand()})
+	}
+	if rng.Intn(3) == 0 {
+		q.Filters = append(q.Filters, Filter{Field: "market", Op: OpEq, Value: testMarkets[rng.Intn(len(testMarkets))]})
+	}
+	if rng.Intn(2) == 0 {
+		q.Sort = []SortKey{{Field: field, Desc: rng.Intn(2) == 0}}
+		q.Limit = rng.Intn(20)
+	}
+	return q
+}
+
+// TestRangeWindowsMatchOracle checks merged sorted-index windows against
+// the oracle, and the same queries on an unindexed registry, where every
+// bound runs as a typed residual predicate. On the indexed engine a window
+// the planner keeps is exact: one sorted(field) list, nothing residual.
+func TestRangeWindowsMatchOracle(t *testing.T) {
+	const queriesPerSeed = 200
+	for seed := int64(51); seed <= 56; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed_%d", seed), func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(seed))
+			rows := windowRows(rng, 50+rng.Intn(400))
+			indexed := NewEngine(testIndexedRegistry(), rows)
+			unindexed := NewEngine(testRegistry(), rows)
+			for i := 0; i < queriesPerSeed; i++ {
+				q := randomWindowQuery(rng)
+				planned, err1 := indexed.Scan(q)
+				oracle, err2 := indexed.ScanOracle(q)
+				residual, err3 := unindexed.Scan(q)
+				residualOracle, err4 := unindexed.ScanOracle(q)
+				if err1 != nil || err2 != nil || err3 != nil || err4 != nil {
+					t.Fatalf("query %d (%+v): errs %v / %v / %v / %v", i, q, err1, err2, err3, err4)
+				}
+				requireSameResult(t, q, planned, oracle)
+				requireSameResult(t, q, residual, residualOracle)
+				ex, field := planned.Meta.Explain, q.Filters[0].Field
+				onlyWindow := q.Filters[len(q.Filters)-1].Field == field
+				if onlyWindow && ex.IndexUsed == "sorted("+field+")" &&
+					(ex.ResidualScanned != 0 || ex.Candidates != planned.Meta.TotalMatched) {
+					t.Fatalf("query %d (%+v): window not exact: %+v", i, q, ex)
+				}
+				if strings.Count(ex.IndexUsed, "sorted(") > 1 {
+					t.Fatalf("query %d (%+v): window split into %q", i, q, ex.IndexUsed)
+				}
+			}
+		})
+	}
+}
+
+// memFetcher pages columns out of an engine's export, charging every column
+// the same fixed size against the budget.
+type memFetcher map[string]*ColumnData
+
+const memColumnBytes = 1 << 10
+
+func (f memFetcher) Columns() []string {
+	names := make([]string, 0, len(f))
+	for name := range f {
+		names = append(names, name)
+	}
+	return names
+}
+
+func (f memFetcher) ColumnBytes(string) int64 { return memColumnBytes }
+
+func (f memFetcher) FetchColumn(_ context.Context, name string) (*ColumnData, error) {
+	return f[name], nil
+}
+
+// TestPagedRangePlansWithoutIndexes: a paged engine answers two-sided ranges
+// by residual scan — no merged window, no sorted index built outside the
+// page budget — and under a two-column budget stays within it while the
+// requests rotate over more columns than fit.
+func TestPagedRangePlansWithoutIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	rows := windowRows(rng, 300)
+	materialized := NewEngine(testIndexedRegistry(), rows)
+	fetcher := memFetcher{}
+	for _, cd := range materialized.ExportColumns() {
+		cd := cd
+		fetcher[cd.Name] = &cd
+	}
+	pool := NewPagePool(2*memColumnBytes, 0, time.Millisecond)
+	paged, err := NewEnginePaged(testIndexedRegistry(), rows, fetcher, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := []Query{
+		{Fields: []string{"name"}, Filters: []Filter{
+			{Field: "size", Op: OpGt, Value: float64(5)}, {Field: "size", Op: OpLe, Value: float64(9)}}},
+		{Fields: []string{"rating"}, Filters: []Filter{
+			{Field: "date", Op: OpGe, Value: "2018-05-03"}, {Field: "date", Op: OpLt, Value: "2018-05-04T08:00:00+08:00"}}},
+		{Fields: []string{"market"}, Filters: []Filter{
+			{Field: "rating", Op: OpGe, Value: 1.5}, {Field: "rating", Op: OpLt, Value: 2.0}}},
+	}
+	for pass := 0; pass < 2; pass++ {
+		for i, q := range queries {
+			res, err := paged.Scan(q)
+			if err != nil {
+				t.Fatalf("pass %d query %d: %v", pass, i, err)
+			}
+			oracle, err := materialized.ScanOracle(q)
+			if err != nil {
+				t.Fatalf("oracle %d: %v", i, err)
+			}
+			requireSameResult(t, q, res, oracle)
+			if res.Meta.TotalMatched == 0 {
+				t.Fatalf("query %d matches nothing; it should select a window", i)
+			}
+			if ex := res.Meta.Explain; ex.IndexUsed != "" {
+				t.Fatalf("pass %d query %d: paged engine used index %q", pass, i, ex.IndexUsed)
+			}
+			if st := paged.PageStats(); st.ResidentBytes > st.Budget {
+				t.Fatalf("pass %d query %d: resident %d over budget %d", pass, i, st.ResidentBytes, st.Budget)
+			}
+		}
+	}
+	for ord := range paged.sortedIdx {
+		if paged.sortedIdx[ord].ix != nil {
+			t.Fatalf("paged engine built a sorted index on %s", paged.reg.order[ord])
+		}
+	}
+	if st := paged.PageStats(); st.Evictions == 0 {
+		t.Fatalf("rotation over five columns under a two-column budget never evicted: %+v", st)
+	}
 }
 
 // TestTopKMatchesFullSort drives the bounded-heap selection across every
@@ -332,6 +520,8 @@ func FuzzScanQuery(f *testing.F) {
 	f.Add([]byte(`{"filters":[{"field":"rating","op":"is_null"}],"sort":[{"field":"date","desc":true}]}`))
 	f.Add([]byte(`{"filters":[{"field":"date","op":"<","value":"2018-05-03"}],"limit":1}`))
 	f.Add([]byte(`{"filters":[{"field":"flagged","op":"==","value":true},{"field":"size","op":"!=","value":300}]}`))
+	f.Add([]byte(`{"filters":[{"field":"size","op":">","value":5},{"field":"size","op":"<=","value":20}],"sort":[{"field":"size"}],"limit":4}`))
+	f.Add([]byte(`{"filters":[{"field":"date","op":">=","value":"2018-05-09"},{"field":"date","op":"<","value":"2018-05-03T08:00:00+08:00"}]}`))
 
 	rng := rand.New(rand.NewSource(3))
 	e := NewEngine(testIndexedRegistry(), randomRows(rng, 64))
