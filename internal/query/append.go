@@ -2,16 +2,28 @@ package query
 
 import (
 	"fmt"
-	"math"
-	"time"
+	"slices"
 )
 
 // NewEngineAppend builds an engine over base's rows followed by added,
-// sealing the column work base already did: every typed column base has
-// materialized is extended — the old rows' values are copied from the built
-// column, only the added rows go through the boxed extractor — then the
-// dictionary and zone maps are rebuilt over the full length. Columns base
-// never touched stay lazy on the new engine, exactly as on a cold build.
+// carrying forward the work base already did instead of redoing it over the
+// whole corpus. For every typed column base has materialized:
+//
+//   - old values are copied from the built column; only the added rows go
+//     through the boxed extractor;
+//   - a dictionary-encoded column keeps its codes: the added rows are looked
+//     up in the old dictionary, new values are merged into it in sorted
+//     order and old codes remapped through a monotone table (a union over
+//     dictCardLimit, or a plain base column, takes the plain path of a cold
+//     build instead);
+//   - the zone maps of the segments base filled are reused and only the
+//     tail segments rebuilt, unless the added rows bring the column's first
+//     NaN, which changes every zone.
+//
+// For every field whose sorted index base has built, only the added rows are
+// sorted and merged into base's permutation. Columns and indexes base never
+// touched stay lazy on the new engine, exactly as on a cold build, and hash
+// indexes always rebuild lazily.
 //
 // Contract: reg must be shape-compatible with base's registry (same field
 // names and kinds, in order; validated here) and every base row must extract
@@ -21,13 +33,17 @@ import (
 // back to a cold build the moment anything differs.
 //
 // base may be serving concurrent scans throughout: the build only loads the
-// atomic column pointers and reads immutable columns/items, never base's
-// lazy-build state.
+// atomic column and sorted-index pointers and reads immutable
+// columns/indexes/items, never base's lazy-build state.
 //
-// The result is semantically indistinguishable from NewEngine(reg, all):
-// dictionaries and zone maps are rebuilt through the same code paths over
-// the same values, so every scan and aggregate is byte-identical to the cold
-// engine's — the appended engine only skips re-extracting old rows.
+// The result is indistinguishable from NewEngine(reg, all), internal layout
+// included: every carried column, dictionary, zone map and sorted index is
+// identical to the one a cold build would produce, so every scan and
+// aggregate is byte-identical to the cold engine's. Old rows are never
+// re-extracted or re-sorted, but an append still costs O(corpus): old values
+// are copied (and dictionary codes remapped when a new value sorts before an
+// old one), each carried permutation is copied, and a dictionary-hinted
+// column in plain layout re-runs encodeDict over every row.
 func NewEngineAppend[T any](reg *Registry[T], base *Engine[T], added []T) (*Engine[T], error) {
 	if base == nil {
 		return nil, fmt.Errorf("query: NewEngineAppend with nil base engine")
@@ -46,6 +62,8 @@ func NewEngineAppend[T any](reg *Registry[T], base *Engine[T], added []T) (*Engi
 	e.lastSel.Store(base.lastSel.Load())
 	oldN := len(base.items)
 	for ord := range base.cols {
+		// Load the sorted index first: one built implies its column built.
+		six := base.sortedIdx[ord].ix.Load()
 		old := base.cols[ord].col.Load()
 		if old == nil {
 			continue
@@ -54,6 +72,11 @@ func NewEngineAppend[T any](reg *Registry[T], base *Engine[T], added []T) (*Engi
 		col := extendColumn(f, old, items, oldN, !e.uncompressed)
 		slot := &e.cols[ord]
 		slot.once.Do(func() { slot.col.Store(col) })
+		if six != nil {
+			ix := extendSortedIndex(six, col, oldN)
+			sslot := &e.sortedIdx[ord]
+			sslot.once.Do(func() { sslot.ix.Store(ix) })
+		}
 	}
 	return e, nil
 }
@@ -77,70 +100,135 @@ func compatibleRegistries[T any](next, base *Registry[T]) error {
 	return nil
 }
 
-// extendColumn builds the full-length column from a built prefix: old values
-// copied (dictionary codes decoded back to strings first — the dictionary is
-// re-derived over the full column below), added rows extracted fresh, then
-// the compressed layout rebuilt through exactly the buildColumn code paths.
+// extendColumn builds the full-length column from old, the built column of
+// the first oldN items: old values are copied, the added rows are extracted
+// as a column of their own and appended, and the compressed layout is
+// carried forward (see NewEngineAppend). The result is identical to
+// buildColumn over all items.
 func extendColumn[T any](f Field[T], old *column, items []T, oldN int, compressed bool) *column {
 	n := len(items)
-	c := &column{kind: f.Kind, nulls: newBitset(n), nullCount: old.nullCount, hasNaN: old.hasNaN}
+	tail := buildColumn(f, items[oldN:], false)
+	c := &column{
+		kind:      f.Kind,
+		nulls:     newBitset(n),
+		nullCount: old.nullCount + tail.nullCount,
+		hasNaN:    old.hasNaN || tail.hasNaN,
+	}
 	// The old bitset's stray bits past oldN in its last word were never set,
 	// so a plain word copy reproduces the prefix exactly.
 	copy(c.nulls, old.nulls)
+	for i := range n - oldN {
+		if tail.nulls.get(i) {
+			c.nulls.set(oldN + i)
+		}
+	}
 	switch f.Kind {
 	case KindInt:
-		c.ints = make([]int64, n)
-		copy(c.ints, old.ints)
+		c.ints = concat(old.ints, tail.ints)
 	case KindFloat:
-		c.floats = make([]float64, n)
-		copy(c.floats, old.floats)
+		c.floats = concat(old.floats, tail.floats)
 	case KindString:
-		c.strs = make([]string, n)
-		if old.dict != nil {
-			for i := 0; i < oldN; i++ {
-				if !old.nulls.get(i) {
-					c.strs[i] = old.dict[old.codes[i]]
-				}
+		dictionary := compressed && f.Dictionary
+		if !dictionary || old.codes == nil || !c.extendDict(old, tail, oldN) {
+			c.strs = concat(old.plainStrs(), tail.strs)
+			if dictionary {
+				c.encodeDict()
 			}
-		} else {
-			copy(c.strs, old.strs)
 		}
 	case KindBool:
-		c.bools = make([]bool, n)
-		copy(c.bools, old.bools)
+		c.bools = concat(old.bools, tail.bools)
 	case KindTime:
-		c.times = make([]time.Time, n)
-		copy(c.times, old.times)
-	}
-	for i := oldN; i < n; i++ {
-		v, null := extract(f, items[i])
-		if null {
-			c.nulls.set(i)
-			c.nullCount++
-			continue
-		}
-		switch f.Kind {
-		case KindInt:
-			c.ints[i] = v.(int64)
-		case KindFloat:
-			x := v.(float64)
-			c.floats[i] = x
-			if math.IsNaN(x) {
-				c.hasNaN = true
-			}
-		case KindString:
-			c.strs[i] = v.(string)
-		case KindBool:
-			c.bools[i] = v.(bool)
-		case KindTime:
-			c.times[i] = v.(time.Time)
-		}
+		c.times = concat(old.times, tail.times)
 	}
 	if compressed {
-		if f.Dictionary && f.Kind == KindString {
-			c.encodeDict()
+		var sealed []zone
+		if c.hasNaN == old.hasNaN {
+			// A segment old filled holds the same rows in the same value
+			// order (a dictionary remap is monotone), so its zone stands.
+			sealed = old.zones[:min(oldN/segmentSize, len(old.zones))]
 		}
-		c.buildZones()
+		c.buildZonesFrom(sealed)
 	}
 	return c
+}
+
+// concat returns a fresh slice holding a then b; never nil, like the
+// make([]V, n) of buildColumn.
+func concat[V any](a, b []V) []V {
+	out := make([]V, len(a)+len(b))
+	copy(out[copy(out, a):], b)
+	return out
+}
+
+// plainStrs returns the row values of a string column in plain layout,
+// decoding dictionary codes when the column is encoded.
+func (c *column) plainStrs() []string {
+	if c.codes == nil {
+		return c.strs
+	}
+	strs := make([]string, len(c.codes))
+	for i := range strs {
+		if !c.nulls.get(i) {
+			strs[i] = c.dict[c.codes[i]]
+		}
+	}
+	return strs
+}
+
+// extendDict encodes c — whose null bitmap is already complete — as the
+// dictionary-encoded column old followed by tail's plain rows (from row oldN
+// on), without decoding or re-hashing the old rows: tail's values are looked
+// up in old's sorted dictionary, the new ones merged into it in sorted
+// order, and old's codes remapped through the resulting monotone table
+// (copied as they are when every new value sorts last). Null rows keep code
+// 0, as in encodeDict. It reports false, leaving c unencoded, when the union
+// exceeds dictCardLimit — encodeDict would keep the plain layout then.
+func (c *column) extendDict(old, tail *column, oldN int) bool {
+	var fresh []string
+	for i, s := range tail.strs {
+		if tail.nulls.get(i) {
+			continue
+		}
+		if _, found := slices.BinarySearch(old.dict, s); !found {
+			fresh = append(fresh, s)
+		}
+	}
+	slices.Sort(fresh)
+	fresh = slices.Compact(fresh)
+	n := oldN + len(tail.strs)
+	card := len(old.dict) + len(fresh)
+	if card > dictCardLimit(n) {
+		return false
+	}
+	var dict []string // stays nil for a fully-null column, as in encodeDict
+	if card > 0 {
+		dict = make([]string, 0, card)
+	}
+	remap := make([]uint32, len(old.dict))
+	j := 0
+	for k, s := range old.dict {
+		for ; j < len(fresh) && fresh[j] < s; j++ {
+			dict = append(dict, fresh[j])
+		}
+		remap[k] = uint32(len(dict))
+		dict = append(dict, s)
+	}
+	dict = append(dict, fresh[j:]...)
+	codes := make([]uint32, n)
+	copy(codes, old.codes)
+	if j > 0 { // a new value sorts before an old one: old codes shift
+		for i := range oldN {
+			if !c.nulls.get(i) {
+				codes[i] = remap[codes[i]]
+			}
+		}
+	}
+	for i, s := range tail.strs {
+		if !tail.nulls.get(i) {
+			k, _ := slices.BinarySearch(dict, s)
+			codes[oldN+i] = uint32(k)
+		}
+	}
+	c.dict, c.codes = dict, codes
+	return true
 }

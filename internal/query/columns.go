@@ -195,14 +195,20 @@ func (c *column) encodeDict() {
 // exact for every kind; min/max witnesses are recorded only for ordered
 // kinds without NaN, mirroring the sorted index's refusal — compareValues
 // treats NaN as equal to everything, which would make the bounds unsound.
-func (c *column) buildZones() {
+func (c *column) buildZones() { c.buildZonesFrom(nil) }
+
+// buildZonesFrom is buildZones taking the leading zones from sealed instead
+// of recomputing them: sealed must be the zones of full segments whose rows
+// hold the same values, in the same order, under the same NaN state, as
+// c's first len(sealed) segments.
+func (c *column) buildZonesFrom(sealed []zone) {
 	n := columnLen(c)
 	if n == 0 {
 		return
 	}
 	ordered := sortable(c.kind) && !c.hasNaN
 	zones := make([]zone, (n+segmentSize-1)/segmentSize)
-	for s := range zones {
+	for s := copy(zones, sealed); s < len(zones); s++ {
 		lo := s * segmentSize
 		hi := lo + segmentSize
 		if hi > n {

@@ -28,9 +28,12 @@ type Engine[T any] struct {
 	sortedIdx []sortedSlot
 
 	// chunkPool / candPool recycle the per-chunk match buffers of parallel
-	// scans (oracle []int chunks, planned []int32 chunks).
-	chunkPool sync.Pool
-	candPool  sync.Pool
+	// scans (oracle []int chunks, planned []int32 chunks). They are
+	// pointers because sync keeps every used pool reachable until the
+	// second GC after its last use: a pool embedded here would keep a
+	// retired epoch's whole engine, columns included, alive that long.
+	chunkPool *sync.Pool
+	candPool  *sync.Pool
 
 	// lastSel is the previously observed match rate (matches per 1<<16
 	// scanned rows, stored +1 so zero means "no history"), the capacity
@@ -59,6 +62,8 @@ func NewEngine[T any](reg *Registry[T], items []T) *Engine[T] {
 		cols:      make([]colSlot, len(reg.order)),
 		hashes:    make([]hashSlot, len(reg.order)),
 		sortedIdx: make([]sortedSlot, len(reg.order)),
+		chunkPool: new(sync.Pool),
+		candPool:  new(sync.Pool),
 	}
 	for i, name := range reg.order {
 		e.ordinals[name] = i

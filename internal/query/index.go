@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Secondary indexes over typed columns. Both are built lazily (at most once
@@ -183,30 +184,64 @@ type sortedIndex struct {
 	perm []int32 // non-null rows ordered by (value asc, row asc)
 }
 
+// sortedSlot is the lazy holder of one field's sorted index. Like
+// colSlot.col, the pointer is atomic so NewEngineAppend can see which
+// indexes a live engine has built without racing the sync.Once that builds
+// them.
 type sortedSlot struct {
 	once sync.Once
-	ix   *sortedIndex
+	ix   atomic.Pointer[sortedIndex]
 }
 
 func buildSortedIndex(c *column) *sortedIndex {
 	ix := &sortedIndex{col: c, ok: sortable(c.kind) && !c.hasNaN}
-	if !ix.ok {
-		return ix
+	if ix.ok {
+		ix.perm = sortedRows(c, 0, columnLen(c))
 	}
-	n := columnLen(c)
-	ix.perm = make([]int32, 0, n-c.nullCount)
-	for i := 0; i < n; i++ {
+	return ix
+}
+
+// sortedRows returns the non-null rows of c in [lo, hi) ordered by
+// (value asc, row asc).
+func sortedRows(c *column, lo, hi int) []int32 {
+	rows := make([]int32, 0, hi-lo)
+	for i := lo; i < hi; i++ {
 		if !c.nulls.get(i) {
-			ix.perm = append(ix.perm, int32(i))
+			rows = append(rows, int32(i))
 		}
 	}
-	sort.Slice(ix.perm, func(i, j int) bool {
-		a, b := ix.perm[i], ix.perm[j]
+	sort.Slice(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
 		if cmp := c.compareRows(int(a), int(b)); cmp != 0 {
 			return cmp < 0
 		}
 		return a < b
 	})
+	return rows
+}
+
+// extendSortedIndex carries base, the sorted index over the first oldN rows
+// of c, forward to all of c: only the rows from oldN on are sorted, then
+// each is placed after every base row of lower or equal value — its row id
+// is larger than theirs — which is exactly buildSortedIndex(c)'s
+// (value, row) order at O(added log n) comparisons plus one copy of the
+// permutation. c's old rows must hold base's values in base's order (a
+// dictionary remap is monotone, so it qualifies); a NaN arriving with the
+// added rows leaves an index that is not ok, as a cold build would.
+func extendSortedIndex(base *sortedIndex, c *column, oldN int) *sortedIndex {
+	ix := &sortedIndex{col: c, ok: sortable(c.kind) && !c.hasNaN}
+	if !ix.ok {
+		return ix
+	}
+	added := sortedRows(c, oldN, columnLen(c))
+	old := base.perm
+	perm := make([]int32, 0, len(old)+len(added))
+	for _, row := range added {
+		k := sort.Search(len(old), func(k int) bool { return c.compareRows(int(old[k]), int(row)) > 0 })
+		perm = append(append(perm, old[:k]...), row)
+		old = old[k:]
+	}
+	ix.perm = append(perm, old...)
 	return ix
 }
 
@@ -283,6 +318,6 @@ func (e *Engine[T]) hashFor(ord int) *hashIndex {
 
 func (e *Engine[T]) sortedFor(ord int) *sortedIndex {
 	slot := &e.sortedIdx[ord]
-	slot.once.Do(func() { slot.ix = buildSortedIndex(e.columnFor(ord)) })
-	return slot.ix
+	slot.once.Do(func() { slot.ix.Store(buildSortedIndex(e.columnFor(ord))) })
+	return slot.ix.Load()
 }

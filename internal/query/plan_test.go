@@ -434,7 +434,7 @@ func TestPagedRangePlansWithoutIndexes(t *testing.T) {
 		}
 	}
 	for ord := range paged.sortedIdx {
-		if paged.sortedIdx[ord].ix != nil {
+		if paged.sortedIdx[ord].ix.Load() != nil {
 			t.Fatalf("paged engine built a sorted index on %s", paged.reg.order[ord])
 		}
 	}
