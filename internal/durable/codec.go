@@ -75,9 +75,8 @@ type decoder struct {
 	// it, so a section with a million strings costs zero allocations instead
 	// of a million — at the price of pinning the whole input buffer for as
 	// long as any decoded string lives. The view aliases buf without copying,
-	// which is sound because every decoder input is a freshly read file
-	// buffer (or a subslice of one) that nothing writes to afterwards; see
-	// stringView.
+	// which is sound because nothing writes to a buffer strings were decoded
+	// from; see stringView.
 	sview string
 	off   int
 	err   error
@@ -85,9 +84,10 @@ type decoder struct {
 
 // stringView returns b's bytes as a string without copying. Callers own b and
 // never mutate it after decoding starts — the durable read path allocates a
-// fresh buffer per file read — so the aliasing is invisible. Copying instead
-// (string(b)) would memmove tens of megabytes per snapshot load just to
-// satisfy the string type.
+// fresh buffer per file read, and the one buffer it reuses, a page fetch's,
+// goes back to its pool only when no string was decoded from it — so the
+// aliasing is invisible. Copying instead (string(b)) would memmove tens of
+// megabytes per snapshot load just to satisfy the string type.
 func stringView(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
@@ -167,9 +167,27 @@ func (d *decoder) str() string {
 	return d.sview[d.off-n : d.off]
 }
 
-// Bulk decoders: one bounds check for a whole fixed-width slice instead of a
+// Bulk decoders: one bounds check for a whole fixed-width run instead of a
 // take() per element. Snapshot column sections hold hundreds of thousands of
-// values; the per-call overhead is what recovery time is made of.
+// values; the per-call overhead is what recovery time is made of. Each kind
+// has one decode loop. For the kinds a page holds it lives in an
+// into-decoder, which fills a caller-owned slice (len(dst) values) so a page
+// decodes straight into its column's planes; the allocating form wraps it
+// after checking the input holds every value.
+
+// fits reports whether n values of size bytes each remain, failing the
+// decoder otherwise: the allocating decoders check it before sizing their
+// result, so a corrupted count cannot drive the allocation.
+func (d *decoder) fits(n, size int) bool {
+	if d.err != nil {
+		return false
+	}
+	if n < 0 || n > d.remaining()/size {
+		d.fail("durable: truncated input: need %d values of %d bytes, have %d bytes", n, size, d.remaining())
+		return false
+	}
+	return true
+}
 
 func (d *decoder) u64s(n int) []uint64 {
 	b := d.take(n * 8)
@@ -183,102 +201,147 @@ func (d *decoder) u64s(n int) []uint64 {
 	return out
 }
 
-func (d *decoder) i64s(n int) []int64 {
-	b := d.take(n * 8)
+func (d *decoder) i64sInto(dst []int64) {
+	b := d.take(len(dst) * 8)
 	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
+	}
+}
+
+func (d *decoder) i64s(n int) []int64 {
+	if !d.fits(n, 8) {
 		return nil
 	}
 	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	d.i64sInto(out)
 	return out
+}
+
+func (d *decoder) f64sInto(dst []float64) {
+	b := d.take(len(dst) * 8)
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
 }
 
 func (d *decoder) f64s(n int) []float64 {
-	b := d.take(n * 8)
-	if b == nil {
+	if !d.fits(n, 8) {
 		return nil
 	}
 	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	d.f64sInto(out)
 	return out
+}
+
+func (d *decoder) u32sInto(dst []uint32) {
+	b := d.take(len(dst) * 4)
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint32(b[i*4:])
+	}
 }
 
 func (d *decoder) u32s(n int) []uint32 {
-	b := d.take(n * 4)
-	if b == nil {
+	if !d.fits(n, 4) {
 		return nil
 	}
 	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.LittleEndian.Uint32(b[i*4:])
-	}
+	d.u32sInto(out)
 	return out
+}
+
+func (d *decoder) i32sInto(dst []int32) {
+	b := d.take(len(dst) * 4)
+	if b == nil {
+		return
+	}
+	for i := range dst {
+		dst[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
+	}
 }
 
 func (d *decoder) i32s(n int) []int32 {
-	b := d.take(n * 4)
-	if b == nil {
+	if !d.fits(n, 4) {
 		return nil
 	}
 	out := make([]int32, n)
-	for i := range out {
-		out[i] = int32(binary.LittleEndian.Uint32(b[i*4:]))
-	}
+	d.i32sInto(out)
 	return out
 }
 
-func (d *decoder) bools(n int) []bool {
-	b := d.take(n)
+func (d *decoder) boolsInto(dst []bool) {
+	b := d.take(len(dst))
 	if b == nil {
-		return nil
+		return
 	}
-	out := make([]bool, n)
 	for i, v := range b {
 		switch v {
 		case 0:
+			dst[i] = false
 		case 1:
-			out[i] = true
+			dst[i] = true
 		default:
 			d.fail("durable: invalid bool byte")
-			return nil
+			return
 		}
+	}
+}
+
+func (d *decoder) bools(n int) []bool {
+	if !d.fits(n, 1) {
+		return nil
+	}
+	out := make([]bool, n)
+	if d.boolsInto(out); d.err != nil {
+		return nil
 	}
 	return out
 }
 
-// strsPlane decodes n strings stored planar — a u32 length per string, then
-// every string's bytes concatenated — returning substrings of the decoder's
-// single string view: one allocation for the lengths, one for the slice, one
-// (shared, lazy) for the view, regardless of n.
-func (d *decoder) strsPlane(n int) []string {
-	lens := d.u32s(n)
+// strsPlaneInto decodes len(dst) strings stored planar — a u32 length per
+// string, then every string's bytes concatenated — as substrings of the
+// decoder's single string view: no allocation beyond the view itself, which
+// is made once per decoder and pins the whole input buffer.
+func (d *decoder) strsPlaneInto(dst []string) {
+	lens := d.take(len(dst) * 4)
 	if lens == nil {
-		return nil
+		return
 	}
 	var total uint64
-	for _, l := range lens {
-		total += uint64(l)
+	for i := range dst {
+		total += uint64(binary.LittleEndian.Uint32(lens[i*4:]))
 	}
 	if total > uint64(d.remaining()) {
 		d.fail("durable: string plane of %d bytes, have %d", total, d.remaining())
-		return nil
+		return
 	}
-	base := d.off
-	if d.take(int(total)) == nil {
-		return nil
-	}
+	off := d.off
+	d.take(int(total))
 	if d.sview == "" && len(d.buf) > 0 {
 		d.sview = stringView(d.buf)
 	}
+	for i := range dst {
+		l := int(binary.LittleEndian.Uint32(lens[i*4:]))
+		dst[i] = d.sview[off : off+l]
+		off += l
+	}
+}
+
+func (d *decoder) strsPlane(n int) []string {
+	if !d.fits(n, 4) {
+		return nil
+	}
 	out := make([]string, n)
-	off := base
-	for i, l := range lens {
-		out[i] = d.sview[off : off+int(l)]
-		off += int(l)
+	if d.strsPlaneInto(out); d.err != nil {
+		return nil
 	}
 	return out
 }

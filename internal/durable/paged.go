@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
 	"time"
 
 	"marketscope/internal/appmeta"
@@ -87,7 +88,10 @@ func columnValueBytes(cd *query.ColumnData, n int) int64 {
 	case query.KindBool:
 		b = int64(n)
 	case query.KindTime:
-		b = 24 * int64(n) // time.Time is three words
+		// A resident time row costs 16 bytes (planar seconds, nanoseconds
+		// and offset); the charge stays at the 24 of a time.Time because
+		// re-pricing would change what a given budget admits.
+		b = 24 * int64(n)
 	case query.KindString:
 		if cd.Dict != nil {
 			b = 4 * int64(n) // codes; the dictionary stays resident
@@ -180,30 +184,30 @@ func encodePagePayload(cd *query.ColumnData, lo, hi int) []byte {
 }
 
 // decodePageInto decodes one page payload into rows [lo,hi) of the column's
-// preallocated value planes. The payload must be an independent allocation —
-// decoded strings alias it.
+// preallocated value planes. Only plain strings keep a reference to the
+// payload — they alias it — so for every other layout the caller may reuse
+// the payload's buffer once this returns.
 func decodePageInto(cd *query.ColumnData, layout uint8, lo, hi int, payload []byte) error {
 	d := &decoder{buf: payload}
-	n := hi - lo
 	switch cd.Kind {
 	case query.KindInt:
-		copy(cd.Ints[lo:hi], d.i64s(n))
+		d.i64sInto(cd.Ints[lo:hi])
 	case query.KindFloat:
-		copy(cd.Floats[lo:hi], d.f64s(n))
+		d.f64sInto(cd.Floats[lo:hi])
 	case query.KindBool:
-		copy(cd.Bools[lo:hi], d.bools(n))
+		d.boolsInto(cd.Bools[lo:hi])
 	case query.KindTime:
-		copy(cd.TimeSec[lo:hi], d.i64s(n))
-		copy(cd.TimeNsec[lo:hi], d.i32s(n))
-		copy(cd.TimeOff[lo:hi], d.i32s(n))
+		d.i64sInto(cd.TimeSec[lo:hi])
+		d.i32sInto(cd.TimeNsec[lo:hi])
+		d.i32sInto(cd.TimeOff[lo:hi])
 	case query.KindString:
 		if layout == strLayoutDict {
-			copy(cd.Codes[lo:hi], d.u32s(n))
+			d.u32sInto(cd.Codes[lo:hi])
 		} else {
-			if cnt := d.count(4); d.err == nil && cnt != n {
-				d.fail("page holds %d strings, want %d", cnt, n)
+			if cnt := d.count(4); d.err == nil && cnt != hi-lo {
+				d.fail("page holds %d strings, want %d", cnt, hi-lo)
 			}
-			copy(cd.Strs[lo:hi], d.strsPlane(n))
+			d.strsPlaneInto(cd.Strs[lo:hi])
 		}
 	}
 	if d.err != nil {
@@ -594,10 +598,11 @@ func openSnapshotLazy(fsys FS, path string) (*lazySnapshot, error) {
 }
 
 // snapshotFetcher implements query.ColumnFetcher over a version-2 snapshot:
-// each fetch opens the file read-only, positioned-reads the column's page
-// frames, verifies every frame checksum and decodes the planes into a
-// ColumnData sharing the resident metadata. Safe for concurrent use — every
-// fetch owns its handle and its buffers.
+// each fetch opens the file read-only, reads the column's page frames with
+// one positioned read over their span, verifies every frame's length echo and
+// checksum and decodes the planes into a ColumnData sharing the resident
+// metadata. Safe for concurrent use — every fetch owns its handle, and a read
+// buffer is one fetch's alone until it goes back to pageBufs.
 type snapshotFetcher struct {
 	fsys     FS
 	path     string
@@ -605,6 +610,11 @@ type snapshotFetcher struct {
 	order    []string
 	byName   map[string]*pagedColumn
 }
+
+// pageBufs recycles the read buffers of column fetches. A fetch returns its
+// buffer once the planes are decoded, except for a plain string column,
+// whose strings alias the buffer for as long as the column lives.
+var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (sf *snapshotFetcher) Columns() []string {
 	return append([]string(nil), sf.order...)
@@ -626,23 +636,40 @@ func (sf *snapshotFetcher) FetchColumn(ctx context.Context, name string) (*query
 	if m == nil {
 		return nil, fmt.Errorf("durable: snapshot has no column %q", name)
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cd := m.newColumnData()
+	if len(m.pages) == 0 {
+		return &cd, nil
+	}
 	f, err := sf.fsys.OpenFile(sf.path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open snapshot for paging: %w", err)
 	}
 	defer f.Close()
 
-	cd := m.newColumnData()
+	// The page table orders a column's frames by offset without overlap
+	// (decodeColMetaSection), so one read covers them all.
+	start := m.pages[0].off
+	last := m.pages[len(m.pages)-1]
+	bp := pageBufs.Get().(*[]byte)
+	if span := int(last.off + 8 + uint64(last.length) - start); cap(*bp) < span {
+		*bp = make([]byte, span)
+	} else {
+		*bp = (*bp)[:span]
+	}
+	buf := *bp
+	if cd.Kind != query.KindString || m.layout != strLayoutPlain {
+		defer pageBufs.Put(bp)
+	}
+	if _, err := f.ReadAt(buf, sf.pagesOff+int64(start)); err != nil {
+		return nil, fmt.Errorf("durable: read column %q pages at %d: %w", name, start, err)
+	}
 	lo := 0
 	for _, pg := range m.pages {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		frame := make([]byte, 8+int(pg.length))
-		if _, err := f.ReadAt(frame, sf.pagesOff+int64(pg.off)); err != nil {
-			return nil, fmt.Errorf("durable: read column %q page at %d: %w", name, pg.off, err)
-		}
-		payload, err := verifyPageFrame(frame, pg.length)
+		rel := pg.off - start
+		payload, err := verifyPageFrame(buf[rel:rel+8+uint64(pg.length)], pg.length)
 		if err != nil {
 			return nil, fmt.Errorf("%w: column %q page at %d: %v", query.ErrPageCorrupt, name, pg.off, err)
 		}

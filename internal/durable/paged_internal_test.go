@@ -10,9 +10,12 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"math"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -68,13 +71,85 @@ func TestSnapshotMultiPageRoundTrip(t *testing.T) {
 	}
 }
 
+// withPageRows sets pageRows for the rest of the test.
+func withPageRows(t testing.TB, rows int) {
+	old := pageRows
+	pageRows = rows
+	t.Cleanup(func() { pageRows = old })
+}
+
+// multiPageSnapshotData is testSnapshotData with seven-row columns of every
+// kind and layout, so that at pageRows 2 or 3 every column spans several
+// frames and its last page is short: ints and floats at their extremes,
+// bools, times before 1970 and in year 9999 with sub-second nanoseconds and
+// non-zero offsets, dictionary strings, plain strings including empty ones,
+// and an all-null column. The codec does not tie a column's length to the
+// record count.
+func multiPageSnapshotData() *snapshotData {
+	data := testSnapshotData()
+	zone := func(nulls, minRow, maxRow int32) []query.ZoneData {
+		return []query.ZoneData{{Rows: 7, Nulls: nulls, MinRow: minRow, MaxRow: maxRow}}
+	}
+	data.columns = []query.ColumnData{
+		{
+			Name: "downloads", Kind: query.KindInt, NullWords: []uint64{0x8}, NullCount: 1,
+			Ints:        []int64{10, -20, 30, 0, math.MaxInt64, math.MinInt64, 7},
+			SegmentRows: 4096, Zones: zone(1, 5, 4),
+		},
+		{
+			Name: "rating", Kind: query.KindFloat, NullWords: []uint64{0},
+			Floats:      []float64{1.5, -2.5, 0, math.Inf(1), 4.25, math.SmallestNonzeroFloat64, -0.5},
+			SegmentRows: 4096, Zones: zone(0, 1, 3),
+		},
+		{
+			Name: "has_ads", Kind: query.KindBool, NullWords: []uint64{0},
+			Bools:       []bool{true, false, true, true, false, false, true},
+			SegmentRows: 4096, Zones: zone(0, -1, -1),
+		},
+		{
+			Name: "release_date", Kind: query.KindTime, NullWords: []uint64{0x4}, NullCount: 1,
+			TimeSec:     []int64{-2208988800, -1, 0, 253402300799, 1525176000, 1525176000, 1525176000},
+			TimeNsec:    []int32{0, 999999999, 0, 999999999, 1, 1, 500000000},
+			TimeOff:     []int32{-25200, 28800, 0, -25200, 20700, 0, 28800},
+			SegmentRows: 4096, Zones: zone(1, 0, 3),
+		},
+		{
+			Name: "market", Kind: query.KindString, NullWords: []uint64{0},
+			Dict: []string{"", "m1", "m2"}, Codes: []uint32{1, 1, 2, 0, 2, 1, 1},
+			SegmentRows: 4096, Zones: zone(0, 3, 2),
+			Postings: [][]int32{{3}, {0, 1, 5, 6}, {2, 4}},
+		},
+		{
+			Name: "app_name", Kind: query.KindString, NullWords: []uint64{0x20}, NullCount: 1,
+			Strs:        []string{"a", "", "ccc", "", "\x00é", "", "g"},
+			SegmentRows: 4096, Zones: zone(1, 1, 6),
+		},
+		{
+			Name: "category", Kind: query.KindString, NullWords: []uint64{0x7f}, NullCount: 7,
+			Strs:        []string{"", "", "", "", "", "", ""},
+			SegmentRows: 4096, Zones: zone(7, -1, -1),
+		},
+	}
+	return data
+}
+
 // TestOpenSnapshotLazyRoundTrip writes a snapshot, opens it lazily, and
 // fetches every column through the fetcher: each must equal the exported
-// original exactly.
+// original exactly. At pageRows 2 and 3 the seven-row columns span several
+// frames each, the last one short.
 func TestOpenSnapshotLazyRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	want := testSnapshotData()
-	path, err := writeSnapshot(OSFS, dir, want)
+	for _, rows := range []int{pageRows, 2, 3} {
+		for _, want := range []*snapshotData{testSnapshotData(), multiPageSnapshotData()} {
+			t.Run(fmt.Sprintf("pageRows_%d/rows_%d", rows, columnRows(&want.columns[0])), func(t *testing.T) {
+				withPageRows(t, rows)
+				lazyRoundTrip(t, want)
+			})
+		}
+	}
+}
+
+func lazyRoundTrip(t *testing.T, want *snapshotData) {
+	path, err := writeSnapshot(OSFS, t.TempDir(), want)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -105,6 +180,10 @@ func TestOpenSnapshotLazyRoundTrip(t *testing.T) {
 		if b := lz.fetcher.ColumnBytes(wc.Name); b <= 0 {
 			t.Fatalf("column %q budget charge %d", wc.Name, b)
 		}
+		m := lz.fetcher.byName[wc.Name]
+		if n := columnRows(&wc); len(m.pages) != (n+pageRows-1)/pageRows {
+			t.Fatalf("column %q: %d rows in %d pages at pageRows %d", wc.Name, n, len(m.pages), pageRows)
+		}
 		got, err := lz.fetcher.FetchColumn(context.Background(), wc.Name)
 		if err != nil {
 			t.Fatalf("fetch %q: %v", wc.Name, err)
@@ -123,14 +202,80 @@ func TestOpenSnapshotLazyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestLazyFetchDetectsPageCorruption flips one byte inside the pages section
-// after the lazy open validated the file: the open itself must not notice
-// (pages are read lazily) but the fetch of the damaged column must fail with
-// query.ErrPageCorrupt, while undamaged columns still fetch cleanly.
+// TestLazyFetchDetectsPageCorruption damages one page frame inside the pages
+// section after the lazy open validated the file: the open itself must not
+// notice (pages are read lazily) but the fetch of the damaged column must
+// fail with query.ErrPageCorrupt, while undamaged columns still fetch
+// cleanly. The damage is a flipped byte in the first page's payload, in a
+// later page's payload, or in a later frame's length echo.
 func TestLazyFetchDetectsPageCorruption(t *testing.T) {
-	dir := t.TempDir()
-	want := testSnapshotData()
-	path, err := writeSnapshot(OSFS, dir, want)
+	for _, d := range []struct {
+		name   string
+		rows   int
+		data   *snapshotData
+		column int
+		// at returns the byte to corrupt, relative to the pages section,
+		// given the damaged column's page table.
+		at func(pages []pageEntry) uint64
+	}{
+		{"first_page_payload", pageRows, testSnapshotData(), 0, func(p []pageEntry) uint64 { return p[0].off + 8 }},
+		{"later_page_payload", 2, multiPageSnapshotData(), 4, func(p []pageEntry) uint64 { return p[2].off + 8 }},
+		{"later_length_echo", 2, multiPageSnapshotData(), 3, func(p []pageEntry) uint64 { return p[len(p)-1].off }},
+	} {
+		t.Run(d.name, func(t *testing.T) {
+			withPageRows(t, d.rows)
+			path, err := writeSnapshot(OSFS, t.TempDir(), d.data)
+			if err != nil {
+				t.Fatalf("write: %v", err)
+			}
+			lz, err := openSnapshotLazy(OSFS, path)
+			if err != nil {
+				t.Fatalf("lazy open: %v", err)
+			}
+			damaged := lz.fetcher.order[d.column]
+			blob, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			blob[lz.fetcher.pagesOff+int64(d.at(lz.fetcher.byName[damaged].pages))] ^= 0x5a
+			if err := os.WriteFile(path, blob, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			lz2, err := openSnapshotLazy(OSFS, path)
+			if err != nil {
+				t.Fatalf("lazy reopen of page-corrupt file: %v", err)
+			}
+			if _, err := lz2.fetcher.FetchColumn(context.Background(), damaged); !errors.Is(err, query.ErrPageCorrupt) {
+				t.Fatalf("corrupt fetch err = %v, want ErrPageCorrupt", err)
+			}
+			for i, wc := range d.data.columns {
+				if i == d.column {
+					continue
+				}
+				got, err := lz2.fetcher.FetchColumn(context.Background(), wc.Name)
+				if err != nil {
+					t.Fatalf("undamaged column %q fetch: %v", wc.Name, err)
+				}
+				if !reflect.DeepEqual(*got, wc) {
+					t.Fatalf("undamaged column %q mismatch:\n got %+v\nwant %+v", wc.Name, *got, wc)
+				}
+			}
+			// The eager loader must refuse the whole file.
+			if _, err := loadSnapshotFile(OSFS, path); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("eager load of page-corrupt file err = %v", err)
+			}
+		})
+	}
+}
+
+// TestPagedFetchBufferReuse fetches from one fetcher on several goroutines
+// at once, so read buffers pass between fetches through the pool: every
+// fetch must equal the original, and a plain string column fetched first
+// must keep its values while later fetches reuse buffers.
+func TestPagedFetchBufferReuse(t *testing.T) {
+	withPageRows(t, 2)
+	want := multiPageSnapshotData()
+	path, err := writeSnapshot(OSFS, t.TempDir(), want)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -138,30 +283,129 @@ func TestLazyFetchDetectsPageCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatalf("lazy open: %v", err)
 	}
-	first := lz.fetcher.byName[lz.fetcher.order[0]]
-	blob, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	kept := map[string]*query.ColumnData{}
+	for _, wc := range want.columns {
+		if kept[wc.Name], err = lz.fetcher.FetchColumn(context.Background(), wc.Name); err != nil {
+			t.Fatalf("fetch %q: %v", wc.Name, err)
+		}
 	}
-	// Flip a payload byte of the first column's first page frame.
-	blob[lz.fetcher.pagesOff+int64(first.pages[0].off)+8] ^= 0x5a
-	if err := os.WriteFile(path, blob, 0o644); err != nil {
-		t.Fatal(err)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 25; i++ {
+				for _, wc := range want.columns {
+					got, err := lz.fetcher.FetchColumn(context.Background(), wc.Name)
+					if err != nil {
+						t.Errorf("fetch %q: %v", wc.Name, err)
+						return
+					}
+					if !reflect.DeepEqual(*got, wc) {
+						t.Errorf("column %q mismatch:\n got %+v\nwant %+v", wc.Name, *got, wc)
+						return
+					}
+				}
+			}
+		}()
 	}
-	lz2, err := openSnapshotLazy(OSFS, path)
-	if err != nil {
-		t.Fatalf("lazy reopen of page-corrupt file: %v", err)
+	wg.Wait()
+	for _, wc := range want.columns {
+		if !reflect.DeepEqual(*kept[wc.Name], wc) {
+			t.Fatalf("column %q changed after later fetches:\n got %+v\nwant %+v", wc.Name, *kept[wc.Name], wc)
+		}
 	}
-	if _, err := lz2.fetcher.FetchColumn(context.Background(), lz2.fetcher.order[0]); !errors.Is(err, query.ErrPageCorrupt) {
-		t.Fatalf("corrupt fetch err = %v, want ErrPageCorrupt", err)
+}
+
+// TestPagedDecodeRejectsBadPayloads decodes page payloads that are wrong in
+// content, as a writer bug would make them behind a valid checksum: each
+// must fail to decode, never fill the planes silently.
+func TestPagedDecodeRejectsBadPayloads(t *testing.T) {
+	plane := func(ss ...string) []byte {
+		var e encoder
+		e.strsPlane(ss)
+		return e.buf
 	}
-	if _, err := lz2.fetcher.FetchColumn(context.Background(), lz2.fetcher.order[1]); err != nil {
-		t.Fatalf("undamaged column fetch: %v", err)
+	overlong := plane("ab", "c")
+	overlong[4] = 9 // the first string claims more bytes than remain
+	for _, c := range []struct {
+		name    string
+		cd      query.ColumnData
+		layout  uint8
+		payload []byte
+	}{
+		{"bool byte 2", query.ColumnData{Kind: query.KindBool, Bools: make([]bool, 3)}, 0, []byte{0, 1, 2}},
+		{"short ints", query.ColumnData{Kind: query.KindInt, Ints: make([]int64, 2)}, 0, make([]byte, 15)},
+		{"trailing byte", query.ColumnData{Kind: query.KindFloat, Floats: make([]float64, 1)}, 0, make([]byte, 9)},
+		{"short time offsets", query.ColumnData{Kind: query.KindTime, TimeSec: make([]int64, 2),
+			TimeNsec: make([]int32, 2), TimeOff: make([]int32, 2)}, 0, make([]byte, 31)},
+		{"short codes", query.ColumnData{Kind: query.KindString, Codes: make([]uint32, 2)}, strLayoutDict, make([]byte, 7)},
+		{"string count", query.ColumnData{Kind: query.KindString, Strs: make([]string, 2)}, strLayoutPlain, plane("a")},
+		{"string bytes past the end", query.ColumnData{Kind: query.KindString, Strs: make([]string, 2)}, strLayoutPlain, overlong},
+	} {
+		n := columnRows(&c.cd)
+		if err := decodePageInto(&c.cd, c.layout, 0, n, c.payload); err == nil {
+			t.Errorf("%s: decoded cleanly", c.name)
+		}
 	}
-	// The eager loader must refuse the whole file.
-	if _, err := loadSnapshotFile(OSFS, path); !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("eager load of page-corrupt file err = %v", err)
-	}
+}
+
+// FuzzPagedFetch checks the lazy reader against the eager one: every input
+// decodeSnapshot accepts is written out, opened lazily and every column
+// fetched, and each fetched column must equal the eager decode's. No input
+// may panic either reader. The seeds include pageRows 2 encodings, whose
+// columns span several frames.
+func FuzzPagedFetch(f *testing.F) {
+	f.Add(encodeSnapshot(multiPageSnapshotData()))
+	f.Add(encodeSnapshotV1(testSnapshotData()))
+	f.Add(encodeSnapshot(&snapshotData{}))
+	old := pageRows
+	pageRows = 2
+	f.Add(encodeSnapshot(multiPageSnapshotData()))
+	f.Add(encodeSnapshot(testSnapshotData()))
+	pageRows = old
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, err := decodeSnapshot(data)
+		if err != nil {
+			return
+		}
+		path := dir + "/case.snap"
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Skip()
+		}
+		lz, err := openSnapshotLazy(OSFS, path)
+		if errors.Is(err, errSnapshotNotPaged) {
+			return // version 1: nothing to page
+		}
+		if err != nil {
+			// The lazy opener also refuses duplicate column names, which the
+			// eager decode leaves to the engine import.
+			names := map[string]bool{}
+			for _, c := range want.columns {
+				names[c.Name] = true
+			}
+			if len(names) == len(want.columns) {
+				t.Fatalf("lazy open refused what the eager decode accepts: %v", err)
+			}
+			return
+		}
+		if lz.fetcher == nil {
+			if len(want.columns) != 0 {
+				t.Fatalf("no fetcher for %d columns", len(want.columns))
+			}
+			return
+		}
+		for _, wc := range want.columns {
+			got, err := lz.fetcher.FetchColumn(context.Background(), wc.Name)
+			if err != nil {
+				t.Fatalf("fetch %q: %v", wc.Name, err)
+			}
+			if !reflect.DeepEqual(*got, wc) {
+				t.Fatalf("column %q: lazy fetch diverges from the eager decode:\n got %+v\nwant %+v", wc.Name, *got, wc)
+			}
+		}
+	})
 }
 
 // patchHeaderVersion rewrites the version field of an encoded snapshot's

@@ -376,9 +376,12 @@ func appendKeyBool(buf []byte, v bool) []byte {
 	return append(buf, 0)
 }
 
-func appendKeyTime(buf []byte, v time.Time) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, uint64(v.Unix()))
-	return binary.BigEndian.AppendUint32(buf, uint32(v.Nanosecond()))
+// appendKeyTime encodes an instant as Unix seconds and nanoseconds; the UTC
+// offset is not part of the key, so one instant is one group whatever its
+// spelling.
+func appendKeyTime(buf []byte, sec int64, nsec int32) []byte {
+	buf = binary.BigEndian.AppendUint64(buf, uint64(sec))
+	return binary.BigEndian.AppendUint32(buf, uint32(nsec))
 }
 
 // appendKeyValue encodes one boxed normalized value (the oracle side).
@@ -397,7 +400,8 @@ func appendKeyValue(buf []byte, kind Kind, v any, null bool) []byte {
 	case KindBool:
 		return appendKeyBool(buf, v.(bool))
 	case KindTime:
-		return appendKeyTime(buf, v.(time.Time))
+		t := v.(time.Time)
+		return appendKeyTime(buf, t.Unix(), int32(t.Nanosecond()))
 	}
 	return buf
 }
@@ -420,7 +424,7 @@ func (c *column) appendKey(buf []byte, i int) []byte {
 	case KindBool:
 		return appendKeyBool(buf, c.bools[i])
 	case KindTime:
-		return appendKeyTime(buf, c.times[i])
+		return appendKeyTime(buf, c.timeSec[i], c.timeNsec[i])
 	}
 	return buf
 }

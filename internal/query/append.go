@@ -138,7 +138,9 @@ func extendColumn[T any](f Field[T], old *column, items []T, oldN int, compresse
 	case KindBool:
 		c.bools = concat(old.bools, tail.bools)
 	case KindTime:
-		c.times = concat(old.times, tail.times)
+		c.timeSec = concat(old.timeSec, tail.timeSec)
+		c.timeNsec = concat(old.timeNsec, tail.timeNsec)
+		c.timeOff = concat(old.timeOff, tail.timeOff)
 	}
 	if compressed {
 		var sealed []zone

@@ -289,7 +289,7 @@ func requireSameLayout(t *testing.T, got, want *Engine[row], all bool) {
 			{"floats", floatBits(gc.floats), floatBits(wc.floats)},
 			{"strs", gc.strs, wc.strs},
 			{"bools", gc.bools, wc.bools},
-			{"times", gc.times, wc.times},
+			{"times", [3]any{gc.timeSec, gc.timeNsec, gc.timeOff}, [3]any{wc.timeSec, wc.timeNsec, wc.timeOff}},
 			{"dict", gc.dict, wc.dict},
 			{"codes", gc.codes, wc.codes},
 			{"zones", gc.zones, wc.zones},

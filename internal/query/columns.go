@@ -1,6 +1,7 @@
 package query
 
 import (
+	"cmp"
 	"math"
 	"sort"
 	"sync"
@@ -70,7 +71,14 @@ type column struct {
 	floats []float64
 	strs   []string
 	bools  []bool
-	times  []time.Time
+
+	// Times are planar, the layout ColumnData and snapshot pages use: the
+	// instant as Unix seconds plus nanoseconds, which is all a comparison,
+	// zone map, sorted index or group key reads, and the UTC offset in
+	// seconds, which only emitted cells need (timeAt). Null rows are zero.
+	timeSec  []int64
+	timeNsec []int32
+	timeOff  []int32
 
 	// Dictionary encoding (string columns marked Field.Dictionary, on
 	// compressed engines): dict is the sorted slice of distinct non-null
@@ -114,7 +122,9 @@ func buildColumn[T any](f Field[T], items []T, compressed bool) *column {
 	case KindBool:
 		c.bools = make([]bool, n)
 	case KindTime:
-		c.times = make([]time.Time, n)
+		c.timeSec = make([]int64, n)
+		c.timeNsec = make([]int32, n)
+		c.timeOff = make([]int32, n)
 	}
 	for i, item := range items {
 		v, null := extract(f, item)
@@ -137,7 +147,9 @@ func buildColumn[T any](f Field[T], items []T, compressed bool) *column {
 		case KindBool:
 			c.bools[i] = v.(bool)
 		case KindTime:
-			c.times[i] = v.(time.Time)
+			t := v.(time.Time)
+			_, off := t.Zone()
+			c.timeSec[i], c.timeNsec[i], c.timeOff[i] = t.Unix(), int32(t.Nanosecond()), int32(off)
 		}
 	}
 	if compressed {
@@ -249,6 +261,27 @@ func (c *column) str(i int) string {
 	return c.strs[i]
 }
 
+// timeAt rebuilds the time.Time of row i from its planes: the instant in
+// UTC, moved into a fixed zone when the offset is not zero. Emitted cells
+// observe only the instant and the offset (RFC 3339), so the rebuild formats
+// exactly like the extracted value.
+func (c *column) timeAt(i int) time.Time {
+	t := time.Unix(c.timeSec[i], int64(c.timeNsec[i])).UTC()
+	if off := c.timeOff[i]; off != 0 {
+		t = t.In(time.FixedZone("", int(off)))
+	}
+	return t
+}
+
+// compareTime orders the instants (sec, nsec) and (sec2, nsec2), as
+// time.Time.Compare does for times without a monotonic reading.
+func compareTime(sec int64, nsec int32, sec2 int64, nsec2 int32) int {
+	if c := cmp.Compare(sec, sec2); c != 0 {
+		return c
+	}
+	return cmp.Compare(nsec, nsec2)
+}
+
 // value boxes the row's value in its JSON-facing representation (time as
 // RFC 3339, mirroring emitValue), nil when null. Used by row
 // materialization so output cells match the oracle's extract+emitValue.
@@ -266,15 +299,15 @@ func (c *column) value(i int) any {
 	case KindBool:
 		return c.bools[i]
 	case KindTime:
-		return c.times[i].Format(time.RFC3339)
+		return c.timeAt(i).Format(time.RFC3339)
 	}
 	return nil
 }
 
 // typed boxes the row's value in its normalized (pre-emit) representation —
-// time.Time stays a time.Time — or nil when null. The aggregation path keeps
-// cells typed until after sorting, then emits them through emitValue exactly
-// like value().
+// a time is rebuilt as a time.Time — or nil when null. The aggregation path
+// keeps cells typed until after sorting, then emits them through emitValue
+// exactly like value().
 func (c *column) typed(i int) any {
 	if c.nulls.get(i) {
 		return nil
@@ -289,7 +322,7 @@ func (c *column) typed(i int) any {
 	case KindBool:
 		return c.bools[i]
 	case KindTime:
-		return c.times[i]
+		return c.timeAt(i)
 	}
 	return nil
 }
@@ -312,7 +345,7 @@ func (c *column) compareRows(a, b int) int {
 	case KindBool:
 		return cmpBool(c.bools[a], c.bools[b])
 	case KindTime:
-		return c.times[a].Compare(c.times[b])
+		return compareTime(c.timeSec[a], c.timeNsec[a], c.timeSec[b], c.timeNsec[b])
 	}
 	return 0
 }
@@ -330,7 +363,8 @@ func (c *column) compareOperand(i int, operand any) int {
 	case KindBool:
 		return cmpBool(c.bools[i], operand.(bool))
 	case KindTime:
-		return c.times[i].Compare(operand.(time.Time))
+		t := operand.(time.Time)
+		return compareTime(c.timeSec[i], c.timeNsec[i], t.Unix(), int32(t.Nanosecond()))
 	}
 	return 0
 }

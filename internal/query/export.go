@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 
 	"marketscope/internal/pipeline"
 )
@@ -33,8 +32,9 @@ type ZoneData struct {
 
 // ColumnData is one field's column in exported form. Exactly one value
 // representation is populated, selected by Kind (strings use either Strs or
-// Dict+Codes); times are decomposed into wall seconds, nanoseconds and the
-// zone offset so the codec never touches time.Time internals.
+// Dict+Codes); times are planar — Unix seconds, nanoseconds and the zone
+// offset — as in the engine's own columns, so the codec never touches
+// time.Time internals and export and import hand the planes over as they are.
 type ColumnData struct {
 	Name      string
 	Kind      Kind
@@ -89,20 +89,11 @@ func (e *Engine[T]) ExportColumns() []ColumnData {
 			Floats:    c.floats,
 			Strs:      c.strs,
 			Bools:     c.bools,
+			TimeSec:   c.timeSec,
+			TimeNsec:  c.timeNsec,
+			TimeOff:   c.timeOff,
 			Dict:      c.dict,
 			Codes:     c.codes,
-		}
-		if c.kind == KindTime {
-			n := len(c.times)
-			cd.TimeSec = make([]int64, n)
-			cd.TimeNsec = make([]int32, n)
-			cd.TimeOff = make([]int32, n)
-			for i, t := range c.times {
-				_, off := t.Zone()
-				cd.TimeSec[i] = t.Unix()
-				cd.TimeNsec[i] = int32(t.Nanosecond())
-				cd.TimeOff[i] = int32(off)
-			}
 		}
 		if c.kind == KindString && c.strs == nil && c.dict == nil {
 			// A fully-null dictionary column degenerates to nil slices when
@@ -263,17 +254,12 @@ func importColumn(dictionaryHint bool, cd *ColumnData, n int) (*column, error) {
 			return nil, fmt.Errorf("time column slices disagree: %d/%d/%d entries, want %d",
 				len(cd.TimeSec), len(cd.TimeNsec), len(cd.TimeOff), n)
 		}
-		c.times = make([]time.Time, n)
-		for i := range cd.TimeSec {
-			if cd.TimeNsec[i] < 0 || cd.TimeNsec[i] >= 1e9 {
-				return nil, fmt.Errorf("row %d has nanoseconds %d out of range", i, cd.TimeNsec[i])
+		for i, nsec := range cd.TimeNsec {
+			if nsec < 0 || nsec >= 1e9 {
+				return nil, fmt.Errorf("row %d has nanoseconds %d out of range", i, nsec)
 			}
-			t := time.Unix(cd.TimeSec[i], int64(cd.TimeNsec[i])).UTC()
-			if off := cd.TimeOff[i]; off != 0 {
-				t = t.In(time.FixedZone("", int(off)))
-			}
-			c.times[i] = t
 		}
+		c.timeSec, c.timeNsec, c.timeOff = cd.TimeSec, cd.TimeNsec, cd.TimeOff
 	case KindString:
 		if cd.Dict != nil {
 			if !dictionaryHint {

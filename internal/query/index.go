@@ -261,7 +261,7 @@ func columnLen(c *column) int {
 	case KindBool:
 		return len(c.bools)
 	case KindTime:
-		return len(c.times)
+		return len(c.timeSec)
 	}
 	return 0
 }

@@ -357,8 +357,12 @@ func (e *Engine[T]) predicate(cf compiledFilter[T]) func(int) bool {
 		vals := col.strs
 		return func(i int) bool { return !nulls.get(i) && opHolds(op, cmpOrdered(vals[i], want)) }
 	case KindTime:
-		vals, want := col.times, cf.operand.(time.Time)
-		return func(i int) bool { return !nulls.get(i) && opHolds(op, vals[i].Compare(want)) }
+		secs, nsecs := col.timeSec, col.timeNsec
+		want := cf.operand.(time.Time)
+		wsec, wnsec := want.Unix(), int32(want.Nanosecond())
+		return func(i int) bool {
+			return !nulls.get(i) && opHolds(op, compareTime(secs[i], nsecs[i], wsec, wnsec))
+		}
 	}
 	operand := cf.operand
 	return func(i int) bool { return !nulls.get(i) && opHolds(op, col.compareOperand(i, operand)) }

@@ -443,6 +443,213 @@ func TestPagedRangePlansWithoutIndexes(t *testing.T) {
 	}
 }
 
+// edgeInstants are instants a time column's planes must carry exactly:
+// before 1970 (negative seconds, one a nanosecond short of the epoch), the
+// epoch, three sub-second instants one nanosecond and half a second apart,
+// and the last nanosecond of year 9999.
+var edgeInstants = []time.Time{
+	time.Date(1900, 1, 1, 0, 0, 0, 0, time.UTC),
+	time.Date(1969, 12, 31, 23, 59, 59, 999999999, time.UTC),
+	time.Unix(0, 0).UTC(),
+	time.Date(2018, 5, 1, 12, 0, 0, 1, time.UTC),
+	time.Date(2018, 5, 1, 12, 0, 0, 2, time.UTC),
+	time.Date(2018, 5, 1, 12, 0, 0, 500000000, time.UTC),
+	time.Date(9999, 12, 31, 23, 59, 59, 999999999, time.UTC),
+}
+
+// edgeSpellings are zoneSpellings plus a 45-minute offset.
+var edgeSpellings = append(append([]*time.Location{}, zoneSpellings...), time.FixedZone("NPT", 5*3600+45*60))
+
+// edgeTimeRows spells every edge instant in every zone, reps times over, in
+// instant order so that zone maps prune. Which spelling comes first rotates
+// per instant, so groups on the date start under different offsets. Every
+// seventh row has a null date.
+func edgeTimeRows(reps int) []row {
+	var rows []row
+	for k, inst := range edgeInstants {
+		for r := 0; r < reps; r++ {
+			for s := range edgeSpellings {
+				i := len(rows)
+				rw := row{name: fmt.Sprintf("t%03d", i), market: testMarkets[i%3], size: int64(i % 5), hasSize: true,
+					date: inst.In(edgeSpellings[(k+s)%len(edgeSpellings)])}
+				if i%7 == 6 {
+					rw.date = time.Time{}
+				}
+				rows = append(rows, rw)
+			}
+		}
+	}
+	return rows
+}
+
+// requireSameBytes asserts two results serialize to the same fields and
+// rows.
+func requireSameBytes(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	gj, _ := json.Marshal([]any{got.Fields, got.Rows, got.Meta.TotalMatched, got.Meta.Returned})
+	wj, _ := json.Marshal([]any{want.Fields, want.Rows, want.Meta.TotalMatched, want.Meta.Returned})
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("%s:\ngot  %s\nwant %s", what, gj, wj)
+	}
+}
+
+// TestPlanarTimeEdges runs edge instants spelled under several offsets
+// through every path that reads a time column's planes: filters with both
+// bounds, equality across offsets, sort, output, a group-by on the time
+// field, min/max/distinct/topk, an append chain, an export/import round
+// trip and a paged engine. Every engine must answer byte for byte as the
+// oracle does, and a group on the date emits its first row's offset.
+func TestPlanarTimeEdges(t *testing.T) {
+	rows := edgeTimeRows(5) // 140 rows: three 64-row segments
+	reg := testIndexedRegistry()
+	compressed := NewEngine(reg, rows)
+	imported, err := NewEngineFromColumns(reg, rows, compressed.ExportColumns())
+	if err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	// Import adopts the planes only once every nanosecond is in range.
+	for _, bad := range []int32{-1, 1e9} {
+		cols := compressed.ExportColumns()
+		for i := range cols {
+			if cols[i].Kind == KindTime {
+				cols[i].TimeNsec = append([]int32(nil), cols[i].TimeNsec...)
+				cols[i].TimeNsec[3] = bad
+			}
+		}
+		if _, err := NewEngineFromColumns(reg, rows, cols); err == nil {
+			t.Fatalf("import accepted nanoseconds %d", bad)
+		}
+	}
+	fetcher := memFetcher{}
+	for _, cd := range compressed.ExportColumns() {
+		cd := cd
+		fetcher[cd.Name] = &cd
+	}
+	paged, err := NewEnginePaged(reg, rows, fetcher, NewPagePool(0, 0, time.Millisecond))
+	if err != nil {
+		t.Fatalf("paged: %v", err)
+	}
+	// Each epoch of the chain builds its date column and sorted index before
+	// the next append, so the planes and the permutation are carried.
+	appended := NewEngine(reg, rows[:40])
+	for _, cut := range [][2]int{{40, 41}, {41, 100}, {100, len(rows)}} {
+		if _, err := appended.Scan(Query{Fields: []string{"date"}, Filters: []Filter{
+			{Field: "date", Op: OpGe, Value: "1969-12-31T23:59:59Z"}}}); err != nil {
+			t.Fatalf("warm: %v", err)
+		}
+		if appended, err = NewEngineAppend(reg, appended, rows[cut[0]:cut[1]]); err != nil {
+			t.Fatalf("append %v: %v", cut, err)
+		}
+	}
+	engines := []struct {
+		name string
+		e    *Engine[row]
+	}{
+		{"compressed", compressed},
+		{"uncompressed", NewEngineUncompressed(reg, rows)},
+		{"imported", imported},
+		{"appended", appended},
+		{"paged", paged},
+	}
+
+	spell := func(k int, loc *time.Location) string { return edgeInstants[k].In(loc).Format(time.RFC3339Nano) }
+	utc, cst, pdt := zoneSpellings[0], zoneSpellings[1], zoneSpellings[2]
+	var queries []Query
+	for lo := range edgeInstants {
+		for hi := lo; hi < len(edgeInstants); hi++ {
+			queries = append(queries,
+				Query{Fields: []string{"name", "date"}, Filters: []Filter{
+					{Field: "date", Op: OpGe, Value: spell(lo, utc)}, {Field: "date", Op: OpLt, Value: spell(hi, pdt)}}},
+				Query{Fields: []string{"date", "name"}, Filters: []Filter{
+					{Field: "date", Op: OpGt, Value: spell(lo, pdt)}, {Field: "date", Op: OpLe, Value: spell(hi, utc)}},
+					Sort: []SortKey{{Field: "date", Desc: true}, {Field: "name"}}, Limit: 25})
+		}
+		loc := cst
+		if lo == len(edgeInstants)-1 {
+			loc = pdt // +08:00 would spell year 10000, which RFC 3339 cannot parse
+		}
+		queries = append(queries, Query{Fields: []string{"name", "date", "market"}, Filters: []Filter{
+			{Field: "date", Op: OpEq, Value: spell(lo, loc)}}})
+	}
+	queries = append(queries, Query{Fields: []string{"date", "name"}, Sort: []SortKey{{Field: "date"}, {Field: "name", Desc: true}}})
+	for i, q := range queries {
+		oracle, err := compressed.ScanOracle(q)
+		if err != nil {
+			t.Fatalf("query %d (%+v): oracle: %v", i, q, err)
+		}
+		for _, eng := range engines {
+			got, err := eng.e.Scan(q)
+			if err != nil {
+				t.Fatalf("query %d (%+v): %s: %v", i, q, eng.name, err)
+			}
+			requireSameBytes(t, fmt.Sprintf("query %d (%+v) on %s", i, q, eng.name), got, oracle)
+		}
+	}
+
+	byDate := Aggregate{GroupBy: []string{"date"}, Aggregates: []AggSpec{{Op: AggCount, As: "n"}, {Op: AggMax, Field: "size", As: "s"}}}
+	aggs := []Aggregate{
+		byDate,
+		{GroupBy: []string{"date"}, Aggregates: []AggSpec{{Op: AggCount, As: "n"}},
+			Filters: []Filter{{Field: "date", Op: OpGt, Value: spell(1, pdt)}, {Field: "date", Op: OpLe, Value: spell(5, utc)}},
+			Sort:    []SortKey{{Field: "date", Desc: true}}},
+		{GroupBy: []string{"market"}, Aggregates: []AggSpec{
+			{Op: AggMin, Field: "date", As: "first"}, {Op: AggMax, Field: "date", As: "last"},
+			{Op: AggDistinct, Field: "date", As: "d"}, {Op: AggTopK, Field: "date", K: 3, As: "top"}}},
+		{Aggregates: []AggSpec{{Op: AggMin, Field: "date", As: "first"}, {Op: AggMax, Field: "date", As: "last"}}},
+	}
+	for i, a := range aggs {
+		oracle, err := compressed.AggregateOracle(a)
+		if err != nil {
+			t.Fatalf("aggregate %d: oracle: %v", i, err)
+		}
+		for _, eng := range engines {
+			got, err := eng.e.Aggregate(a)
+			if err != nil {
+				t.Fatalf("aggregate %d: %s: %v", i, eng.name, err)
+			}
+			requireSameBytes(t, fmt.Sprintf("aggregate %d (%+v) on %s", i, a, eng.name), got, oracle)
+		}
+	}
+
+	// Groups come out in first-occurrence order, each carrying its first
+	// row's spelling; the null group sits where its first row does.
+	type instant struct {
+		sec  int64
+		nsec int
+	}
+	var want []any
+	seen := map[instant]bool{}
+	nullSeen := false
+	for _, r := range rows {
+		if r.date.IsZero() {
+			if !nullSeen {
+				nullSeen = true
+				want = append(want, nil)
+			}
+			continue
+		}
+		if k := (instant{r.date.Unix(), r.date.Nanosecond()}); !seen[k] {
+			seen[k] = true
+			want = append(want, r.date.Format(time.RFC3339))
+		}
+	}
+	if !strings.Contains(fmt.Sprint(want), "+05:45") || !strings.Contains(fmt.Sprint(want), "+08:00") {
+		t.Fatalf("no group starts under a non-UTC offset: %v", want)
+	}
+	res, err := compressed.Aggregate(byDate)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []any
+	for _, r := range res.Rows {
+		got = append(got, r[0])
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("group values %v, want first spellings %v", got, want)
+	}
+	requireSameLayout(t, appended, compressed, false)
+}
+
 // TestTopKMatchesFullSort drives the bounded-heap selection across every
 // limit over several sort shapes and checks it against the oracle's full
 // stable sort.
