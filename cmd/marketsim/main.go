@@ -10,6 +10,7 @@
 //	          [-analysis] [-hold-back F] [-release-every D] [-release-batch N]
 //	          [-data-dir DIR] [-fsync always|interval|off] [-fsync-interval D]
 //	          [-snapshot-every N] [-page-budget BYTES] [-page-retry N]
+//	          [-pprof ADDR]
 //
 // With -port 0 every market binds an ephemeral port instead of a consecutive
 // range, which is what the smoke tests use to avoid port collisions.
@@ -51,6 +52,10 @@
 // snapshot before exiting — a restart with the same -data-dir recovers every
 // acknowledged delta.
 //
+// -pprof ADDR serves the net/http/pprof profiles under /debug/pprof/ on a
+// listener and mux of their own at ADDR, never on a market port; it is off
+// by default.
+//
 // -hold-back withholds a fraction of every market's catalog at startup and
 // releases it in batches while the process serves (-release-every,
 // -release-batch), turning the static snapshot into a growing feed — the
@@ -69,6 +74,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"sort"
@@ -132,6 +138,7 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	holdBack := fs.Float64("hold-back", 0, "fraction of each market's catalog withheld at startup and released while serving (0..0.9)")
 	releaseEvery := fs.Duration("release-every", 5*time.Second, "interval between releases of held-back listings")
 	releaseBatch := fs.Int("release-batch", 25, "held-back listings released per interval")
+	pprofAddr := fs.String("pprof", "", "serve net/http/pprof at this address, on its own listener (empty = off)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,6 +160,17 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	}
 	if *pageBudget != 0 && *dataDir == "" {
 		return fmt.Errorf("-page-budget requires -data-dir")
+	}
+	// The pprof listener opens before any market server or durable state, so
+	// a taken or malformed address fails the run with nothing to tear down.
+	// Once its server has started, Shutdown closes it first and the deferred
+	// Close does nothing.
+	var pprofLn net.Listener
+	if *pprofAddr != "" {
+		if pprofLn, err = net.Listen("tcp", *pprofAddr); err != nil {
+			return fmt.Errorf("listen for pprof: %w", err)
+		}
+		defer pprofLn.Close()
 	}
 	serveCfg := market.ServeConfig{
 		CacheBytes:    *cacheBytes,
@@ -261,13 +279,26 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		}
 	}
 
+	if pprofLn != nil {
+		srv := &http.Server{Handler: pprofMux(), ReadHeaderTimeout: 5 * time.Second}
+		servers = append(servers, srv)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := srv.Serve(pprofLn); err != nil && err != http.ErrServerClosed {
+				fmt.Fprintf(os.Stderr, "marketsim: pprof: %v\n", err)
+			}
+		}()
+		fmt.Fprintf(stdout, "%-16s http://%s/debug/pprof/\n", "pprof", pprofLn.Addr())
+	}
+
 	blob, err := json.MarshalIndent(endpoints, "", "  ")
 	if err != nil {
 		return err
 	}
 	fmt.Fprintln(stdout, string(blob))
 	if *endpointsPath != "" {
-		if err := os.WriteFile(*endpointsPath, blob, 0o644); err != nil {
+		if err := writeFileAtomic(*endpointsPath, blob); err != nil {
 			return fmt.Errorf("write endpoints: %w", err)
 		}
 	}
@@ -339,6 +370,29 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 		}
 	}
 	return nil
+}
+
+// writeFileAtomic writes data to a temporary file beside path and renames it
+// into place, so a client polling for path never reads a partial file.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		return err
+	}
+	return os.Rename(tmp, path)
+}
+
+// pprofMux routes the net/http/pprof handlers on a mux of its own. Importing
+// the package also registers them on http.DefaultServeMux, which marketsim
+// never serves.
+func pprofMux() *http.ServeMux {
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
 }
 
 // withholdSuffix rebuilds a store without the trailing fraction of its

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -525,4 +528,93 @@ func TestMarketsimPagedAnalysisRestart(t *testing.T) {
 		t.Errorf("paged engine served without fetching:\n%s", metrics)
 	}
 	shutdown(stop, done)
+}
+
+// lockedBuffer is a bytes.Buffer that run can write while the test reads.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestMarketsimPprofFlag boots the command with and without -pprof: with it,
+// the profile index answers on its own listener; either way, a market port
+// answers /debug/pprof/ with 404.
+func TestMarketsimPprofFlag(t *testing.T) {
+	status := func(url string) int {
+		t.Helper()
+		resp, err := http.Get(url)
+		if err != nil {
+			t.Fatalf("GET %s: %v", url, err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	pprofLine := regexp.MustCompile(`(?m)^pprof\s+(http://\S+)$`)
+	for _, withFlag := range []bool{true, false} {
+		endpointsPath := filepath.Join(t.TempDir(), "endpoints.json")
+		args := []string{"-apps", "40", "-developers", "18", "-seed", "11", "-port", "0", "-endpoints", endpointsPath}
+		if withFlag {
+			args = append(args, "-pprof", "127.0.0.1:0")
+		}
+		var out lockedBuffer
+		stop := make(chan os.Signal, 1)
+		done := make(chan error, 1)
+		go func() { done <- run(args, &out, stop) }()
+		endpoints := waitEndpoints(t, endpointsPath, done)
+
+		m := pprofLine.FindStringSubmatch(out.String())
+		if withFlag != (m != nil) {
+			t.Fatalf("-pprof set %v, but pprof line found %v:\n%s", withFlag, m != nil, out.String())
+		}
+		if withFlag {
+			if code := status(m[1]); code != http.StatusOK {
+				t.Errorf("pprof index %s: status %d, want 200", m[1], code)
+			}
+		}
+		for _, ep := range endpoints {
+			if code := status(ep.BaseURL + "/debug/pprof/"); code != http.StatusNotFound {
+				t.Errorf("-pprof set %v: market %s answers /debug/pprof/ with %d, want 404", withFlag, ep.Name, code)
+			}
+		}
+		stop <- os.Interrupt
+		if err := <-done; err != nil {
+			t.Fatalf("run: %v", err)
+		}
+	}
+}
+
+// TestMarketsimBadPprofAddrOpensNothing gives -pprof an address that is
+// already taken: run must fail before it starts a market server or opens the
+// analysis endpoint's durable state.
+func TestMarketsimBadPprofAddrOpensNothing(t *testing.T) {
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	dataDir := t.TempDir()
+	var out bytes.Buffer
+	err = run([]string{"-apps", "40", "-developers", "18", "-port", "0", "-analysis",
+		"-data-dir", dataDir, "-pprof", taken.Addr().String()}, &out, nil)
+	if err == nil || !strings.Contains(err.Error(), "listen for pprof") {
+		t.Fatalf("run with a taken -pprof address: err %v, want a pprof listen error", err)
+	}
+	if out.Len() != 0 {
+		t.Errorf("run printed before failing (servers started?):\n%s", out.String())
+	}
+	if entries, err := os.ReadDir(dataDir); err != nil || len(entries) != 0 {
+		t.Errorf("data dir after the failed run: %d entries (err %v), want none", len(entries), err)
+	}
 }

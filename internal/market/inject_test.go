@@ -179,6 +179,16 @@ func FuzzServeHTTP(f *testing.F) {
 	f.Add("GET", "/api/search?q="+strings.Repeat("a", 4096)+"&limit=-1", "", []byte(nil))
 	f.Add("PATCH", market.ScanPath, "\x00", []byte(`{`))
 	f.Add("POST", market.ScanPath, "gzip", []byte("\xff\xfe not json"))
+	// Negotiation edge cases: a refused gzip, a preferred identity, "*" and
+	// its refusal, x-gzip, malformed q-values and a CR LF inside the value.
+	wide := []byte(`{"fields":["package","market","app_name"],"limit":50}`)
+	f.Add("POST", market.ScanPath, "gzip;q=0, identity", wide)
+	f.Add("POST", market.ScanPath, "gzip;q=0.5, identity", wide)
+	f.Add("POST", market.ScanPath, "*", wide)
+	f.Add("POST", market.AggregatePath, "*;q=0, x-gzip;q=0.001", []byte(`{"group_by":["market"],"aggregates":[{"op":"count"}]}`))
+	f.Add("POST", market.AggregatePath, "identity;q=0, *;q=0", []byte(`{"group_by":["market","category"],"aggregates":[{"op":"count"}]}`))
+	f.Add("POST", market.ScanPath, "gzip;q=1.5, gzip;q=, ;q=0.5", []byte(`{"fields":["package"],"limit":40}`))
+	f.Add("POST", market.ScanPath, "br\r\ngzip", []byte(`{"fields":["package"],"limit":40}`))
 
 	f.Fuzz(func(t *testing.T, method, path, acceptEncoding string, body []byte) {
 		srv := servingFixture(t)

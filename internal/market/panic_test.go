@@ -23,37 +23,53 @@ func (panicSource) Scan(query.Query) (*query.Result, error) {
 	panic("scan exploded")
 }
 
-func panicFixture(t *testing.T) *market.Server {
+func panicFixture(t *testing.T, cfg market.ServeConfig) *market.Server {
 	t.Helper()
 	srv := market.NewServer(market.NewStore(market.Profile{Name: "panic"}))
 	srv.AttachScan(panicSource{})
-	srv.ConfigureServing(market.ServeConfig{})
+	srv.ConfigureServing(cfg)
 	return srv
 }
 
+// panicModes runs each panic test on the bare chain and again with gzip
+// configured and negotiated: the recovered error body must decode either way.
+var panicModes = []struct {
+	name string
+	cfg  market.ServeConfig
+	hdr  http.Header
+}{
+	{"identity", market.ServeConfig{}, nil},
+	{"gzip", market.ServeConfig{Gzip: true}, http.Header{"Accept-Encoding": {"gzip"}}},
+}
+
 func TestPanicRecoveredAsCleanError(t *testing.T) {
-	srv := panicFixture(t)
+	for _, mode := range panicModes {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			srv := panicFixture(t, mode.cfg)
 
-	rec := injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(`{}`), nil)
-	requireJSONError(t, rec, http.StatusInternalServerError)
-	if st := srv.ServingStats(); st.Panics != 1 {
-		t.Fatalf("Panics = %d, want 1", st.Panics)
-	}
+			rec := injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(`{}`), mode.hdr)
+			requireJSONError(t, rec, http.StatusInternalServerError)
+			if st := srv.ServingStats(); st.Panics != 1 {
+				t.Fatalf("Panics = %d, want 1", st.Panics)
+			}
 
-	// The server survived: the health probe answers and a second panic is
-	// recovered the same way.
-	if rec := injectRequest(t, srv, http.MethodGet, market.HealthPath, nil, nil); rec.Code != http.StatusOK {
-		t.Fatalf("healthz after panic: %d", rec.Code)
-	}
-	rec = injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(`{}`), nil)
-	requireJSONError(t, rec, http.StatusInternalServerError)
-	if st := srv.ServingStats(); st.Panics != 2 {
-		t.Fatalf("Panics = %d, want 2", st.Panics)
-	}
+			// The server survived: the health probe answers and a second
+			// panic is recovered the same way.
+			if rec := injectRequest(t, srv, http.MethodGet, market.HealthPath, nil, mode.hdr); rec.Code != http.StatusOK {
+				t.Fatalf("healthz after panic: %d", rec.Code)
+			}
+			rec = injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(`{}`), mode.hdr)
+			requireJSONError(t, rec, http.StatusInternalServerError)
+			if st := srv.ServingStats(); st.Panics != 2 {
+				t.Fatalf("Panics = %d, want 2", st.Panics)
+			}
 
-	mrec := injectRequest(t, srv, http.MethodGet, market.MetricsPath, nil, nil)
-	if mrec.Code != http.StatusOK || !strings.Contains(mrec.Body.String(), "serve_panics_total 2") {
-		t.Fatalf("metrics after panics: %d %.300s", mrec.Code, mrec.Body.String())
+			mrec := injectRequest(t, srv, http.MethodGet, market.MetricsPath, nil, mode.hdr)
+			if mrec.Code != http.StatusOK || !strings.Contains(mrec.Body.String(), "serve_panics_total 2") {
+				t.Fatalf("metrics after panics: %d %.300s", mrec.Code, mrec.Body.String())
+			}
+		})
 	}
 }
 
@@ -61,10 +77,15 @@ func TestPanicRecoveredAsCleanError(t *testing.T) {
 // the status counters like any other server error (recovery sits inside the
 // metrics layer).
 func TestPanicCountsIntoStatusMetrics(t *testing.T) {
-	srv := panicFixture(t)
-	injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(`{}`), nil)
-	body := injectRequest(t, srv, http.MethodGet, market.MetricsPath, nil, nil).Body.String()
-	if !strings.Contains(body, "market_http_responses_5xx_total 1") {
-		t.Fatalf("panic not counted as 5xx:\n%.500s", body)
+	for _, mode := range panicModes {
+		mode := mode
+		t.Run(mode.name, func(t *testing.T) {
+			srv := panicFixture(t, mode.cfg)
+			injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(`{}`), mode.hdr)
+			body := injectRequest(t, srv, http.MethodGet, market.MetricsPath, nil, mode.hdr).Body.String()
+			if !strings.Contains(body, "market_http_responses_5xx_total 1") {
+				t.Fatalf("panic not counted as 5xx:\n%.500s", body)
+			}
+		})
 	}
 }

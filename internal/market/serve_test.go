@@ -319,6 +319,24 @@ func TestPerClientRateLimit(t *testing.T) {
 	}
 }
 
+// gzipScan is a scan with a body of a few kilobytes on the fixture.
+const gzipScan = `{"fields":["package","market","app_name"],"limit":50}`
+
+// acceptEncoding is a request header with the given Accept-Encoding field
+// lines.
+func acceptEncoding(lines ...string) http.Header {
+	return http.Header{"Accept-Encoding": lines}
+}
+
+// requireGzip asserts the response is gzip-encoded and returns it decoded.
+func requireGzip(t *testing.T, rec *httptest.ResponseRecorder) []byte {
+	t.Helper()
+	if enc := rec.Header().Get("Content-Encoding"); enc != "gzip" {
+		t.Fatalf("Content-Encoding %q, want gzip", enc)
+	}
+	return decodedBody(t, rec)
+}
+
 func TestGzipResponses(t *testing.T) {
 	ds, _ := scanFixture(t)
 	srv := newServingServer(t, ds.QuerySource(), market.ServeConfig{Gzip: true})
@@ -346,6 +364,82 @@ func TestGzipResponses(t *testing.T) {
 	}
 	if !bytes.Equal(unzipped, plain.Body.Bytes()) {
 		t.Fatalf("gzipped body decodes to different content:\nplain: %s\ngzip:  %s", plain.Body.Bytes(), unzipped)
+	}
+}
+
+// TestGzipNegotiation drives Accept-Encoding through the serving chain:
+// every field line counts, q-values rank gzip against identity, and "*"
+// stands in for codings not listed.
+func TestGzipNegotiation(t *testing.T) {
+	ds, _ := scanFixture(t)
+	srv := newServingServer(t, ds.QuerySource(), market.ServeConfig{Gzip: true})
+	for _, tc := range []struct {
+		lines []string
+		gzip  bool
+	}{
+		{nil, false},
+		{[]string{""}, false},
+		{[]string{"gzip"}, true},
+		{[]string{"GZip"}, true},
+		{[]string{"x-gzip"}, true},
+		{[]string{" gzip ; q=0.5 "}, true},
+		{[]string{"gzip;Q=1.000"}, true},
+		{[]string{"gzip;q=0.001"}, true},
+		{[]string{"gzip;level=9"}, true},
+		{[]string{"gzip;q=0"}, false},
+		{[]string{"gzip;q=0.000"}, false},
+		{[]string{"gzip;q=0, identity"}, false},
+		{[]string{"identity, gzip;q=0"}, false},
+		{[]string{"gzip;q=0.5, identity"}, false},
+		{[]string{"gzip;q=0.5, identity;q=0.4"}, true},
+		{[]string{"gzip;q=0.5, identity;q=0.5"}, true},
+		{[]string{"identity;q=0, gzip"}, true},
+		{[]string{"deflate, br"}, false},
+		{[]string{"br", "gzip"}, true},
+		{[]string{"gzip;q=0", "identity"}, false},
+		{[]string{"*"}, true},
+		{[]string{"*;q=0"}, false},
+		{[]string{"*, gzip;q=0"}, false},
+		{[]string{"*;q=0, gzip"}, true},
+		{[]string{"*;q=0.8, gzip;q=0.5"}, false},
+		{[]string{"*;q=0.5, gzip;q=0.8"}, true},
+		{[]string{"gzip;q=nonsense"}, false},
+		{[]string{"gzip;q=1.5"}, false},
+		{[]string{"gzip;q=0.1234"}, false},
+		{[]string{"gzipx, xgzip"}, false},
+		{[]string{"br;q=nonsense, identity;;;, gzip\x7f"}, false},
+		{[]string{",,gzip,,"}, true},
+	} {
+		rec := injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(gzipScan), acceptEncoding(tc.lines...))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("Accept-Encoding %q: status %d", tc.lines, rec.Code)
+		}
+		if got := rec.Header().Get("Content-Encoding") == "gzip"; got != tc.gzip {
+			t.Errorf("Accept-Encoding %q: gzip = %v, want %v", tc.lines, got, tc.gzip)
+		}
+		if v := rec.Header().Get("Vary"); v != "Accept-Encoding" {
+			t.Errorf("Accept-Encoding %q: Vary %q, want Accept-Encoding", tc.lines, v)
+		}
+	}
+}
+
+// TestGzipCacheHitMatchesIdentityMiss pins that the result cache stores one
+// body form: a gzip client's hit decodes to exactly the bytes of the
+// identity miss that filled the entry.
+func TestGzipCacheHitMatchesIdentityMiss(t *testing.T) {
+	ds, _ := scanFixture(t)
+	srv := newServingServer(t, ds.QuerySource(), market.ServeConfig{Gzip: true, CacheBytes: 1 << 20})
+	miss := injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(gzipScan), nil)
+	if miss.Code != http.StatusOK || miss.Header().Get("X-Cache") != "MISS" || miss.Header().Get("Content-Encoding") != "" {
+		t.Fatalf("first request: code=%d X-Cache=%q Content-Encoding=%q, want an identity 200 MISS",
+			miss.Code, miss.Header().Get("X-Cache"), miss.Header().Get("Content-Encoding"))
+	}
+	hit := injectRequest(t, srv, http.MethodPost, market.ScanPath, []byte(gzipScan), acceptEncoding("gzip"))
+	if hit.Code != http.StatusOK || hit.Header().Get("X-Cache") != "HIT" {
+		t.Fatalf("second request: code=%d X-Cache=%q, want 200 HIT", hit.Code, hit.Header().Get("X-Cache"))
+	}
+	if body := requireGzip(t, hit); !bytes.Equal(body, miss.Body.Bytes()) {
+		t.Fatalf("gzip hit decodes to different bytes than the identity miss:\nmiss: %.200s\nhit:  %.200s", miss.Body.Bytes(), body)
 	}
 }
 
