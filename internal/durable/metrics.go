@@ -24,9 +24,10 @@ type Metrics struct {
 	// LastSnapshotGeneration is the cursor of the newest snapshot written or
 	// loaded, 0 when none exists.
 	LastSnapshotGeneration atomic.Uint64
-	// snapshotLoadBits is the float64 bit pattern of the seconds the last
-	// successful snapshot load took.
-	snapshotLoadBits atomic.Uint64
+	// snapshotLoadBits and snapshotWriteBits are the float64 bit patterns of
+	// the seconds the last successful snapshot load and write took.
+	snapshotLoadBits  atomic.Uint64
+	snapshotWriteBits atomic.Uint64
 	// pagePool is the store's column page pool, attached by Open when paging
 	// is enabled; the paged_* gauges read through it (zero when absent).
 	pagePool atomic.Pointer[query.PagePool]
@@ -51,6 +52,17 @@ func (m *Metrics) SnapshotLoadSeconds() float64 {
 	return math.Float64frombits(m.snapshotLoadBits.Load())
 }
 
+func (m *Metrics) setSnapshotWriteSeconds(s float64) {
+	m.snapshotWriteBits.Store(math.Float64bits(s))
+}
+
+// SnapshotWriteSeconds reports the duration of the last successful snapshot
+// write, from exporting the state to the directory fsync that made the file
+// visible; 0 when this process wrote none.
+func (m *Metrics) SnapshotWriteSeconds() float64 {
+	return math.Float64frombits(m.snapshotWriteBits.Load())
+}
+
 // Register publishes the counters on reg as scrape-time gauges.
 func (m *Metrics) Register(reg *metrics.Registry) {
 	reg.GaugeFunc("durable_wal_records_replayed",
@@ -62,6 +74,9 @@ func (m *Metrics) Register(reg *metrics.Registry) {
 	reg.GaugeFunc("durable_snapshot_load_seconds",
 		"Seconds the last successful snapshot load took.",
 		m.SnapshotLoadSeconds)
+	reg.GaugeFunc("durable_snapshot_write_seconds",
+		"Seconds the last successful snapshot write took, export to directory fsync.",
+		m.SnapshotWriteSeconds)
 	reg.GaugeFunc("durable_snapshot_corrupt_quarantined",
 		"Snapshot files quarantined after failing validation.",
 		func() float64 { return float64(m.SnapshotCorruptQuarantined.Load()) })

@@ -108,11 +108,13 @@ func columnValueBytes(cd *query.ColumnData, n int) int64 {
 	return b
 }
 
-// buildPagedColumns splits exported columns into resident metadata and the
-// pages-section payload (page frames, in column then row order).
-func buildPagedColumns(cols []query.ColumnData) ([]pagedColumn, []byte) {
+// planPagedColumns splits exported columns into resident metadata and lays
+// out the pages section (page frames, in column then row order) without
+// encoding a page: a frame's size follows from the column alone, so the page
+// table is exact before any page exists. It returns the section's length.
+func planPagedColumns(cols []query.ColumnData) ([]pagedColumn, uint64) {
 	metas := make([]pagedColumn, len(cols))
-	var pages []byte
+	var pagesLen uint64
 	for i := range cols {
 		cd := &cols[i]
 		n := columnRows(cd)
@@ -127,27 +129,73 @@ func buildPagedColumns(cols []query.ColumnData) ([]pagedColumn, []byte) {
 			m.layout = strLayoutDict
 		}
 		for lo := 0; lo < n; lo += pageRows {
-			hi := lo + pageRows
-			if hi > n {
-				hi = n
-			}
-			payload := encodePagePayload(cd, lo, hi)
-			entry := pageEntry{off: uint64(len(pages)), length: uint32(len(payload)), rows: uint32(hi - lo)}
-			pages = binary.LittleEndian.AppendUint32(pages, entry.length)
-			pages = binary.LittleEndian.AppendUint32(pages, crc32.Checksum(payload, castagnoli))
-			pages = append(pages, payload...)
+			hi := min(lo+pageRows, n)
+			entry := pageEntry{off: pagesLen, length: pagePayloadLen(cd, lo, hi), rows: uint32(hi - lo)}
+			pagesLen += 8 + uint64(entry.length)
 			m.pages = append(m.pages, entry)
 		}
 		metas[i] = m
 	}
-	return metas, pages
+	return metas, pagesLen
 }
 
-// encodePagePayload serializes one page's slice of the value planes,
-// rows [lo,hi). Time pages are planar within the page, mirroring the v1
-// column layout.
-func encodePagePayload(cd *query.ColumnData, lo, hi int) []byte {
-	var e encoder
+// pagePayloadLen is the exact length encodePage gives rows [lo,hi): fixed
+// widths per kind, and count + lengths + bytes for plain strings.
+func pagePayloadLen(cd *query.ColumnData, lo, hi int) uint32 {
+	n := uint32(hi - lo)
+	switch cd.Kind {
+	case query.KindInt, query.KindFloat:
+		return 8 * n
+	case query.KindBool:
+		return n
+	case query.KindTime:
+		return 16 * n
+	case query.KindString:
+		if cd.Dict != nil {
+			return 4 * n
+		}
+		size := 4 + 4*n
+		for _, s := range cd.Strs[lo:hi] {
+			size += uint32(len(s))
+		}
+		return size
+	}
+	return 0
+}
+
+// pagesSection streams every planned page: each is encoded into one reused
+// buffer, framed with its length and checksum, and written.
+func pagesSection(cols []query.ColumnData, metas []pagedColumn, pagesLen uint64) section {
+	return section{id: secColPages, size: pagesLen, emit: func(sw *sectionWriter) {
+		var largest uint32
+		for i := range metas {
+			for _, pg := range metas[i].pages {
+				largest = max(largest, pg.length)
+			}
+		}
+		page := encoder{buf: make([]byte, 0, largest)}
+		for i := range metas {
+			lo := 0
+			for _, pg := range metas[i].pages {
+				hi := lo + int(pg.rows)
+				page.buf = page.buf[:0]
+				encodePage(&page, &cols[i], lo, hi)
+				if len(page.buf) != int(pg.length) {
+					sw.fail(fmt.Errorf("durable: column %q page at %d encoded %d bytes, planned %d",
+						cols[i].Name, pg.off, len(page.buf), pg.length))
+				}
+				sw.u32(uint32(len(page.buf)))
+				sw.u32(crc32.Checksum(page.buf, castagnoli))
+				sw.raw(page.buf)
+				lo = hi
+			}
+		}
+	}}
+}
+
+// encodePage appends one page's slice of the value planes, rows [lo,hi).
+// Time pages are planar within the page, mirroring the v1 column layout.
+func encodePage(e *encoder, cd *query.ColumnData, lo, hi int) {
 	switch cd.Kind {
 	case query.KindInt:
 		for _, v := range cd.Ints[lo:hi] {
@@ -180,7 +228,6 @@ func encodePagePayload(cd *query.ColumnData, lo, hi int) []byte {
 			e.strsPlane(cd.Strs[lo:hi])
 		}
 	}
-	return e.buf
 }
 
 // decodePageInto decodes one page payload into rows [lo,hi) of the column's
@@ -246,52 +293,89 @@ func (m *pagedColumn) newColumnData() query.ColumnData {
 	return cd
 }
 
-func encodeColMetaSection(metas []pagedColumn) []byte {
-	var e encoder
-	e.u32(uint32(len(metas)))
+// colMetaSection streams each column's resident metadata and page table, in
+// the order decodeColMetaSection reads them.
+func colMetaSection(metas []pagedColumn) section {
+	size := uint64(4)
 	for i := range metas {
 		m := &metas[i]
 		cd := &m.meta
-		e.str(cd.Name)
-		e.str(string(cd.Kind))
-		e.u32(uint32(m.rows))
-		e.u8(m.layout)
-		e.u32(uint32(len(cd.NullWords)))
-		for _, w := range cd.NullWords {
-			e.u64(w)
-		}
-		e.u64(uint64(cd.NullCount))
-		e.bool(cd.HasNaN)
+		size += 8 + uint64(len(cd.Name)+len(cd.Kind)) // name, kind
+		size += 4 + 1                                 // rows, layout
+		size += 4 + 8*uint64(len(cd.NullWords)) + 8 + 1
 		if m.layout == strLayoutDict {
-			e.strsPlane(cd.Dict)
-		}
-		e.u32(uint32(cd.SegmentRows))
-		e.u32(uint32(len(cd.Zones)))
-		for _, z := range cd.Zones {
-			e.i32(z.Rows)
-			e.i32(z.Nulls)
-			e.i32(z.MinRow)
-			e.i32(z.MaxRow)
-		}
-		e.bool(cd.Postings != nil)
-		if cd.Postings != nil {
-			e.u32(uint32(len(cd.Postings)))
-			for _, rows := range cd.Postings {
-				e.u32(uint32(len(rows)))
-				for _, r := range rows {
-					e.i32(r)
-				}
+			size += 4 + 4*uint64(len(cd.Dict))
+			for _, s := range cd.Dict {
+				size += uint64(len(s))
 			}
 		}
-		e.u64(uint64(m.valueBytes))
-		e.u32(uint32(len(m.pages)))
-		for _, p := range m.pages {
-			e.u64(p.off)
-			e.u32(p.length)
-			e.u32(p.rows)
+		size += 4 + 4 + 16*uint64(len(cd.Zones)) // segment rows, zones
+		size++                                   // postings flag
+		if cd.Postings != nil {
+			size += 4
+			for _, rows := range cd.Postings {
+				size += 4 + 4*uint64(len(rows))
+			}
 		}
+		size += 8 + 4 + 16*uint64(len(m.pages)) // value bytes, page table
 	}
-	return e.buf
+	return section{id: secColMeta, size: size, emit: func(sw *sectionWriter) {
+		sw.u32(uint32(len(metas)))
+		for i := range metas {
+			m := &metas[i]
+			cd := &m.meta
+			sw.str(cd.Name)
+			sw.str(string(cd.Kind))
+			sw.u32(uint32(m.rows))
+			sw.u8(m.layout)
+			sw.u32(uint32(len(cd.NullWords)))
+			for _, w := range cd.NullWords {
+				sw.u64(w)
+				sw.spill()
+			}
+			sw.u64(uint64(cd.NullCount))
+			sw.bool(cd.HasNaN)
+			if m.layout == strLayoutDict {
+				sw.u32(uint32(len(cd.Dict)))
+				for _, s := range cd.Dict {
+					sw.u32(uint32(len(s)))
+					sw.spill()
+				}
+				for _, s := range cd.Dict {
+					sw.buf = append(sw.buf, s...)
+					sw.spill()
+				}
+			}
+			sw.u32(uint32(cd.SegmentRows))
+			sw.u32(uint32(len(cd.Zones)))
+			for _, z := range cd.Zones {
+				sw.i32(z.Rows)
+				sw.i32(z.Nulls)
+				sw.i32(z.MinRow)
+				sw.i32(z.MaxRow)
+				sw.spill()
+			}
+			sw.bool(cd.Postings != nil)
+			if cd.Postings != nil {
+				sw.u32(uint32(len(cd.Postings)))
+				for _, rows := range cd.Postings {
+					sw.u32(uint32(len(rows)))
+					for _, r := range rows {
+						sw.i32(r)
+						sw.spill()
+					}
+				}
+			}
+			sw.u64(uint64(m.valueBytes))
+			sw.u32(uint32(len(m.pages)))
+			for _, p := range m.pages {
+				sw.u64(p.off)
+				sw.u32(p.length)
+				sw.u32(p.rows)
+				sw.spill()
+			}
+		}
+	}}
 }
 
 // decodeColMetaSection decodes and structurally validates the column
@@ -680,19 +764,4 @@ func (sf *snapshotFetcher) FetchColumn(ctx context.Context, name string) (*query
 		lo = hi
 	}
 	return &cd, nil
-}
-
-// loadSnapshotShallow decodes only a snapshot's records and blobs — what the
-// blob harvest needs to seed from a base generation. Version 2 gets this for
-// free from the lazy opener (the pages stay on disk); version 1 falls back
-// to the full load.
-func loadSnapshotShallow(fsys FS, path string) (*snapshotData, error) {
-	lz, err := openSnapshotLazy(fsys, path)
-	if err == nil {
-		return &snapshotData{cursor: lz.cursor, crawlTime: lz.crawlTime, records: lz.records, blobs: lz.blobs}, nil
-	}
-	if !errors.Is(err, errSnapshotNotPaged) {
-		return nil, err
-	}
-	return loadSnapshotFile(fsys, path)
 }

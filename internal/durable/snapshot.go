@@ -1,10 +1,12 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"sort"
 	"sync"
@@ -36,10 +38,11 @@ import (
 //	  5 footer:  "MSNAPEND"
 //
 // Every section payload carries its own CRC32-C; the footer proves the file
-// was written to completion. Snapshots are written to a temp name, fsynced,
-// atomically renamed to snap-<cursor>.snap and the directory fsynced, so a
-// crash mid-write leaves at worst a stale temp file — never a half-visible
-// snapshot. Any decode failure anywhere makes the whole file invalid; the
+// was written to completion. Snapshots are streamed section by section to a
+// temp name (every length is known before its payload, so nothing is
+// buffered whole), fsynced, atomically renamed to snap-<cursor>.snap and the
+// directory fsynced, so a crash mid-write leaves at worst a stale temp file,
+// which the next Open deletes — never a half-visible snapshot. Any decode failure anywhere makes the whole file invalid; the
 // store then quarantines it and falls back. The single exception is a header
 // announcing a version newer than this build understands: the file is
 // refused wholesale (ErrSnapshotVersion) but left in place for the newer
@@ -60,6 +63,9 @@ const (
 	snapVersionPaged = 2
 	snapSuffix       = ".snap"
 	corruptSuffix    = ".corrupt"
+	// tmpSuffix marks a snapshot still being written; Open deletes any it
+	// finds, since only a crash mid-write leaves one behind.
+	tmpSuffix = ".tmp"
 )
 
 const (
@@ -81,52 +87,73 @@ const (
 // recovery time; the planar layout decodes each field with one bounds check
 // and materializes every string as a substring of a single section copy.
 
-func encodeRecordsSection(records []appmeta.Record) []byte {
-	var e encoder
-	n := len(records)
-	e.u32(uint32(n))
-	for i := range records {
-		e.i64(records[i].VersionCode)
-	}
-	for i := range records {
-		e.i64(records[i].Downloads)
-	}
-	for i := range records {
-		e.f64(records[i].Rating)
-	}
-	for _, get := range []func(*appmeta.Record) time.Time{
-		func(r *appmeta.Record) time.Time { return r.ReleaseDate },
-		func(r *appmeta.Record) time.Time { return r.UpdateDate },
-	} {
-		for i := range records {
-			e.i64(get(&records[i]).Unix())
-		}
-		for i := range records {
-			e.i32(int32(get(&records[i]).Nanosecond()))
-		}
-		for i := range records {
-			_, off := get(&records[i]).Zone()
-			e.i32(int32(off))
-		}
-	}
-	for i := range records {
-		e.i64(records[i].APKSize)
-	}
-	for i := range records {
-		e.bool(records[i].HasAds)
-	}
-	for i := range records {
-		e.bool(records[i].HasIAP)
-	}
+// recordFixedBytes is one record's share of the records section outside its
+// string bytes: 66 bytes of fixed-width planes plus a u32 length per string
+// plane.
+const recordFixedBytes = 66 + 4*7
+
+func recordsSection(records []appmeta.Record) section {
+	size := 4 + uint64(recordFixedBytes*len(records))
 	for _, get := range recordStringFields {
 		for i := range records {
-			e.u32(uint32(len(*get(&records[i]))))
-		}
-		for i := range records {
-			e.buf = append(e.buf, *get(&records[i])...)
+			size += uint64(len(*get(&records[i])))
 		}
 	}
-	return e.buf
+	return section{id: secRecords, size: size, emit: func(sw *sectionWriter) {
+		sw.u32(uint32(len(records)))
+		for i := range records {
+			sw.i64(records[i].VersionCode)
+			sw.spill()
+		}
+		for i := range records {
+			sw.i64(records[i].Downloads)
+			sw.spill()
+		}
+		for i := range records {
+			sw.f64(records[i].Rating)
+			sw.spill()
+		}
+		for _, get := range []func(*appmeta.Record) time.Time{
+			func(r *appmeta.Record) time.Time { return r.ReleaseDate },
+			func(r *appmeta.Record) time.Time { return r.UpdateDate },
+		} {
+			for i := range records {
+				sw.i64(get(&records[i]).Unix())
+				sw.spill()
+			}
+			for i := range records {
+				sw.i32(int32(get(&records[i]).Nanosecond()))
+				sw.spill()
+			}
+			for i := range records {
+				_, off := get(&records[i]).Zone()
+				sw.i32(int32(off))
+				sw.spill()
+			}
+		}
+		for i := range records {
+			sw.i64(records[i].APKSize)
+			sw.spill()
+		}
+		for i := range records {
+			sw.bool(records[i].HasAds)
+			sw.spill()
+		}
+		for i := range records {
+			sw.bool(records[i].HasIAP)
+			sw.spill()
+		}
+		for _, get := range recordStringFields {
+			for i := range records {
+				sw.u32(uint32(len(*get(&records[i]))))
+				sw.spill()
+			}
+			for i := range records {
+				sw.buf = append(sw.buf, *get(&records[i])...)
+				sw.spill()
+			}
+		}
+	}}
 }
 
 // recordStringFields lists the Record string fields in plane order.
@@ -245,28 +272,29 @@ func parseSnapshotName(name string) (uint64, bool) {
 	return cursor, true
 }
 
-func appendSection(buf []byte, id uint32, payload []byte) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, id)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(payload)))
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, castagnoli))
+// headerSectionSize is the header payload: version, cursor, crawl time and
+// the record, blob and column counts.
+const headerSectionSize = 4 + 8 + 16 + 3*4
+
+func headerSection(data *snapshotData, version uint32) section {
+	return section{id: secHeader, size: headerSectionSize, emit: func(sw *sectionWriter) {
+		sw.u32(version)
+		sw.u64(data.cursor)
+		sw.timeVal(data.crawlTime)
+		sw.u32(uint32(len(data.records)))
+		sw.u32(uint32(len(data.blobs)))
+		sw.u32(uint32(len(data.columns)))
+	}}
 }
 
-func encodeHeaderSection(data *snapshotData, version uint32) []byte {
-	var hdr encoder
-	hdr.u32(version)
-	hdr.u64(data.cursor)
-	hdr.timeVal(data.crawlTime)
-	hdr.u32(uint32(len(data.records)))
-	hdr.u32(uint32(len(data.blobs)))
-	hdr.u32(uint32(len(data.columns)))
-	return hdr.buf
-}
-
-func encodeBlobsSection(data *snapshotData) []byte {
-	keys := make([]appmeta.Key, 0, len(data.blobs))
-	for k := range data.blobs {
+// blobsSection lays the blobs out in (market, package) order, so a snapshot's
+// bytes do not depend on the order its keys were ingested in.
+func blobsSection(blobs map[appmeta.Key][]byte) section {
+	keys := make([]appmeta.Key, 0, len(blobs))
+	size := uint64(4)
+	for k, b := range blobs {
 		keys = append(keys, k)
+		size += 12 + uint64(len(k.Market)+len(k.Package)+len(b))
 	}
 	sort.Slice(keys, func(i, j int) bool {
 		if keys[i].Market != keys[j].Market {
@@ -274,43 +302,137 @@ func encodeBlobsSection(data *snapshotData) []byte {
 		}
 		return keys[i].Package < keys[j].Package
 	})
-	var blobs encoder
-	blobs.u32(uint32(len(keys)))
-	for _, k := range keys {
-		blobs.str(k.Market)
-		blobs.str(k.Package)
-		blobs.bytes(data.blobs[k])
-	}
-	return blobs.buf
+	return section{id: secBlobs, size: size, emit: func(sw *sectionWriter) {
+		sw.u32(uint32(len(keys)))
+		for _, k := range keys {
+			sw.str(k.Market)
+			sw.str(k.Package)
+			sw.u32(uint32(len(blobs[k])))
+			sw.raw(blobs[k])
+		}
+	}}
 }
 
-// encodeSnapshot serializes the current write format (version 2, paged
-// columns). encodeSnapshotV1 keeps the legacy layout alive for the dual-read
-// tests.
-func encodeSnapshot(data *snapshotData) []byte {
-	metas, pages := buildPagedColumns(data.columns)
-	buf := []byte(snapMagic)
-	buf = appendSection(buf, secHeader, encodeHeaderSection(data, snapVersionPaged))
-	buf = appendSection(buf, secRecords, encodeRecordsSection(data.records))
-	buf = appendSection(buf, secBlobs, encodeBlobsSection(data))
-	buf = appendSection(buf, secColMeta, encodeColMetaSection(metas))
-	buf = appendSection(buf, secColPages, pages)
-	return appendSection(buf, secFooter, []byte(snapFooter))
+var footerSection = section{id: secFooter, size: uint64(len(snapFooter)), emit: func(sw *sectionWriter) {
+	sw.buf = append(sw.buf, snapFooter...)
+}}
+
+// snapshotSections lays out the current write format (version 2, paged
+// columns). Every length is known before its section's first byte: the page
+// table is planned from the columns alone, so the column metadata precedes
+// the pages it locates without any page having been encoded.
+func snapshotSections(data *snapshotData) []section {
+	metas, pagesLen := planPagedColumns(data.columns)
+	return []section{
+		headerSection(data, snapVersionPaged),
+		recordsSection(data.records),
+		blobsSection(data.blobs),
+		colMetaSection(metas),
+		pagesSection(data.columns, metas, pagesLen),
+		footerSection,
+	}
 }
 
-func encodeSnapshotV1(data *snapshotData) []byte {
-	var cols encoder
-	cols.u32(uint32(len(data.columns)))
-	for i := range data.columns {
-		encodeColumn(&cols, &data.columns[i])
-	}
+// snapBufSize is the one write buffer a snapshot streams through: the file
+// reaches the filesystem in writes of this size, and the writer never holds
+// more of it than that (plus the one column page it is framing).
+const snapBufSize = 1 << 20
 
-	buf := []byte(snapMagic)
-	buf = appendSection(buf, secHeader, encodeHeaderSection(data, snapVersion))
-	buf = appendSection(buf, secRecords, encodeRecordsSection(data.records))
-	buf = appendSection(buf, secBlobs, encodeBlobsSection(data))
-	buf = appendSection(buf, secColumns, cols.buf)
-	return appendSection(buf, secFooter, []byte(snapFooter))
+// spillSize is how many encoded bytes a section writer gathers before it
+// checksums them and passes them to the write buffer.
+const spillSize = 32 << 10
+
+// section is one snapshot section ready to stream: its id, its exact payload
+// length, and the function that emits that payload.
+type section struct {
+	id   uint32
+	size uint64
+	emit func(*sectionWriter)
+}
+
+// sectionWriter streams sections through a bufio.Writer. Payload bytes are
+// encoded into the embedded scratch encoder, and emitters call spill once per
+// row so the scratch stays small; bytes leave the scratch checksummed into the
+// open section's CRC32-C and counted against its declared length.
+type sectionWriter struct {
+	encoder
+	w   *bufio.Writer
+	crc uint32
+	n   uint64
+	err error
+}
+
+// spill passes the scratch on once it holds spillSize bytes.
+func (sw *sectionWriter) spill() {
+	if len(sw.buf) >= spillSize {
+		sw.pass()
+	}
+}
+
+// pass moves the scratch into the open section.
+func (sw *sectionWriter) pass() {
+	sw.put(sw.buf)
+	sw.buf = sw.buf[:0]
+}
+
+// raw writes payload bytes straight to the buffer, not through the scratch —
+// for blobs and pages, which are already contiguous and may be large.
+func (sw *sectionWriter) raw(p []byte) {
+	sw.pass()
+	sw.put(p)
+}
+
+// put checksums and counts p as payload of the open section, and writes it.
+func (sw *sectionWriter) put(p []byte) {
+	sw.crc = crc32.Update(sw.crc, castagnoli, p)
+	sw.n += uint64(len(p))
+	sw.write(p)
+}
+
+func (sw *sectionWriter) write(p []byte) {
+	if _, err := sw.w.Write(p); err != nil {
+		sw.fail(err)
+	}
+}
+
+func (sw *sectionWriter) fail(err error) {
+	if sw.err == nil {
+		sw.err = err
+	}
+}
+
+// section frames one section — [ id | len | payload | crc ] — writing the
+// declared length before the payload exists. A payload of any other length
+// fails the write: the frame would not parse.
+func (sw *sectionWriter) section(s section) {
+	if sw.err != nil {
+		return
+	}
+	var frame [12]byte
+	binary.LittleEndian.PutUint32(frame[:], s.id)
+	binary.LittleEndian.PutUint64(frame[4:], s.size)
+	sw.write(frame[:])
+	sw.crc, sw.n = 0, 0
+	s.emit(sw)
+	sw.pass()
+	if sw.n != s.size {
+		sw.fail(fmt.Errorf("durable: snapshot section %d wrote %d bytes, declared %d", s.id, sw.n, s.size))
+	}
+	sw.write(binary.LittleEndian.AppendUint32(frame[:0], sw.crc))
+}
+
+// writeSections streams a snapshot file — the magic, then every section — to
+// w through one snapBufSize buffer.
+func writeSections(w io.Writer, secs []section) error {
+	sw := &sectionWriter{encoder: encoder{buf: make([]byte, 0, 2*spillSize)}, w: bufio.NewWriterSize(w, snapBufSize)}
+	sw.write([]byte(snapMagic))
+	for _, s := range secs {
+		sw.section(s)
+	}
+	if sw.err != nil {
+		return sw.err
+	}
+	return sw.w.Flush()
 }
 
 func corrupt(format string, args ...any) error {
@@ -541,77 +663,6 @@ const (
 	strLayoutDict  = 1
 )
 
-func encodeColumn(e *encoder, c *query.ColumnData) {
-	e.str(c.Name)
-	e.str(string(c.Kind))
-	e.u32(uint32(len(c.NullWords)))
-	for _, w := range c.NullWords {
-		e.u64(w)
-	}
-	e.u64(uint64(c.NullCount))
-	e.bool(c.HasNaN)
-	switch c.Kind {
-	case query.KindInt:
-		e.u32(uint32(len(c.Ints)))
-		for _, v := range c.Ints {
-			e.i64(v)
-		}
-	case query.KindFloat:
-		e.u32(uint32(len(c.Floats)))
-		for _, v := range c.Floats {
-			e.f64(v)
-		}
-	case query.KindBool:
-		e.u32(uint32(len(c.Bools)))
-		for _, v := range c.Bools {
-			e.bool(v)
-		}
-	case query.KindTime:
-		// Planar: all seconds, then all nanoseconds, then all offsets, so the
-		// decoder reads three bulk slices instead of framing per row.
-		e.u32(uint32(len(c.TimeSec)))
-		for _, v := range c.TimeSec {
-			e.i64(v)
-		}
-		for _, v := range c.TimeNsec {
-			e.i32(v)
-		}
-		for _, v := range c.TimeOff {
-			e.i32(v)
-		}
-	case query.KindString:
-		if c.Dict != nil {
-			e.u8(strLayoutDict)
-			e.strsPlane(c.Dict)
-			e.u32(uint32(len(c.Codes)))
-			for _, v := range c.Codes {
-				e.u32(v)
-			}
-		} else {
-			e.u8(strLayoutPlain)
-			e.strsPlane(c.Strs)
-		}
-	}
-	e.u32(uint32(c.SegmentRows))
-	e.u32(uint32(len(c.Zones)))
-	for _, z := range c.Zones {
-		e.i32(z.Rows)
-		e.i32(z.Nulls)
-		e.i32(z.MinRow)
-		e.i32(z.MaxRow)
-	}
-	e.bool(c.Postings != nil)
-	if c.Postings != nil {
-		e.u32(uint32(len(c.Postings)))
-		for _, rows := range c.Postings {
-			e.u32(uint32(len(rows)))
-			for _, r := range rows {
-				e.i32(r)
-			}
-		}
-	}
-}
-
 func decodeColumn(d *decoder) query.ColumnData {
 	c := query.ColumnData{Name: d.str(), Kind: query.Kind(d.str())}
 	c.NullWords = d.u64s(d.count(8))
@@ -666,18 +717,24 @@ func decodeColumn(d *decoder) query.ColumnData {
 	return c
 }
 
-// writeSnapshot persists one snapshot with the temp-file + fsync + rename +
-// dir-fsync protocol and returns the final path.
+// writeSnapshot persists one snapshot and returns its final path.
 func writeSnapshot(fsys FS, dir string, data *snapshotData) (string, error) {
-	name := snapshotName(data.cursor)
-	tmp := joinPath(dir, name+".tmp")
+	return writeSnapshotFile(fsys, dir, snapshotName(data.cursor), snapshotSections(data))
+}
+
+// writeSnapshotFile streams sections to a temp file and persists it under
+// name with the fsync + rename + dir-fsync protocol. On any failure —
+// including a section whose bytes disagree with its declared length — the
+// temp file is removed and no snapshot becomes visible.
+func writeSnapshotFile(fsys FS, dir, name string, secs []section) (string, error) {
+	tmp := joinPath(dir, name+tmpSuffix)
 	final := joinPath(dir, name)
 	f, err := fsys.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return "", fmt.Errorf("durable: create snapshot temp: %w", err)
 	}
 	cleanup := func() { _ = fsys.Remove(tmp) }
-	if _, err := f.Write(encodeSnapshot(data)); err != nil {
+	if err := writeSections(f, secs); err != nil {
 		f.Close()
 		cleanup()
 		return "", fmt.Errorf("durable: write snapshot: %w", err)

@@ -1,9 +1,14 @@
 package durable
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -67,6 +72,109 @@ func testSnapshotData() *snapshotData {
 				Zones:       []query.ZoneData{{Rows: 3, Nulls: 1, MinRow: 0, MaxRow: 2}},
 			},
 		},
+	}
+}
+
+// encodeSnapshot is the streamed writer aimed at memory: the exact bytes
+// writeSnapshot puts in a file.
+func encodeSnapshot(data *snapshotData) []byte {
+	var buf bytes.Buffer
+	if err := writeSections(&buf, snapshotSections(data)); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+// encodeSnapshotV1 writes the legacy version-1 layout — one columns section
+// in place of column metadata and pages — for the dual-read tests.
+func encodeSnapshotV1(data *snapshotData) []byte {
+	var cols encoder
+	cols.u32(uint32(len(data.columns)))
+	for i := range data.columns {
+		encodeColumn(&cols, &data.columns[i])
+	}
+	var buf bytes.Buffer
+	err := writeSections(&buf, []section{
+		headerSection(data, snapVersion),
+		recordsSection(data.records),
+		blobsSection(data.blobs),
+		{id: secColumns, size: uint64(len(cols.buf)), emit: func(sw *sectionWriter) { sw.raw(cols.buf) }},
+		footerSection,
+	})
+	if err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func encodeColumn(e *encoder, c *query.ColumnData) {
+	e.str(c.Name)
+	e.str(string(c.Kind))
+	e.u32(uint32(len(c.NullWords)))
+	for _, w := range c.NullWords {
+		e.u64(w)
+	}
+	e.u64(uint64(c.NullCount))
+	e.bool(c.HasNaN)
+	switch c.Kind {
+	case query.KindInt:
+		e.u32(uint32(len(c.Ints)))
+		for _, v := range c.Ints {
+			e.i64(v)
+		}
+	case query.KindFloat:
+		e.u32(uint32(len(c.Floats)))
+		for _, v := range c.Floats {
+			e.f64(v)
+		}
+	case query.KindBool:
+		e.u32(uint32(len(c.Bools)))
+		for _, v := range c.Bools {
+			e.bool(v)
+		}
+	case query.KindTime:
+		// Planar: all seconds, then all nanoseconds, then all offsets, so the
+		// decoder reads three bulk slices instead of framing per row.
+		e.u32(uint32(len(c.TimeSec)))
+		for _, v := range c.TimeSec {
+			e.i64(v)
+		}
+		for _, v := range c.TimeNsec {
+			e.i32(v)
+		}
+		for _, v := range c.TimeOff {
+			e.i32(v)
+		}
+	case query.KindString:
+		if c.Dict != nil {
+			e.u8(strLayoutDict)
+			e.strsPlane(c.Dict)
+			e.u32(uint32(len(c.Codes)))
+			for _, v := range c.Codes {
+				e.u32(v)
+			}
+		} else {
+			e.u8(strLayoutPlain)
+			e.strsPlane(c.Strs)
+		}
+	}
+	e.u32(uint32(c.SegmentRows))
+	e.u32(uint32(len(c.Zones)))
+	for _, z := range c.Zones {
+		e.i32(z.Rows)
+		e.i32(z.Nulls)
+		e.i32(z.MinRow)
+		e.i32(z.MaxRow)
+	}
+	e.bool(c.Postings != nil)
+	if c.Postings != nil {
+		e.u32(uint32(len(c.Postings)))
+		for _, rows := range c.Postings {
+			e.u32(uint32(len(rows)))
+			for _, r := range rows {
+				e.i32(r)
+			}
+		}
 	}
 }
 
@@ -217,11 +325,90 @@ func FuzzSnapshotLoad(f *testing.F) {
 		// never a panic, never an implausible allocation.
 		data2, err := decodeSnapshot(data)
 		if err == nil {
-			// Whatever decoded must re-encode and decode to the same thing
-			// (the format is canonical for valid states).
-			if _, err := decodeSnapshot(encodeSnapshot(data2)); err != nil {
+			// Whatever decoded must stream back out through the writer and
+			// decode to the same thing (the format is canonical for valid
+			// states).
+			again, err := decodeSnapshot(encodeSnapshot(data2))
+			if err != nil {
 				t.Fatalf("re-encode of valid snapshot failed: %v", err)
+			}
+			if !reflect.DeepEqual(again, data2) {
+				t.Fatalf("re-encoded snapshot decodes differently:\n got %+v\nwant %+v", again, data2)
 			}
 		}
 	})
+}
+
+// TestSnapshotGoldenBytes pins the version-2 bytes the writer produces: a
+// length and SHA-256 per fixture and page geometry, recorded from the
+// whole-file encoder the streamed writer replaced. Any change to the layout,
+// the section order or a checksum moves a digest.
+func TestSnapshotGoldenBytes(t *testing.T) {
+	for _, tc := range []struct {
+		pageRows int
+		name     string
+		data     func() *snapshotData
+		size     int
+		sha256   string
+	}{
+		{32768, "test", testSnapshotData, 1443, "7b9931aaaddddd99501a6d71c25cf6acb4f738cc5407b81eca028e11647c18f4"},
+		{32768, "multi", multiPageSnapshotData, 1777, "8b114fc35b91bbaabe8e98eae7d1e81a60140272ac8d0f7390c13e8652fa0c12"},
+		{32768, "empty", emptySnapshotData, 164, "0bf6427b3754bf09e578ee7316bcffdabd5a561d94f42c1813e0a3f91e16ff18"},
+		{2, "test", testSnapshotData, 1591, "f06df0a3f391bb55a2464c62a708c17829d7197ff088a7a8006948b98bcf4dee"},
+		{2, "multi", multiPageSnapshotData, 2305, "3a9d63f51825b79cd6594b8855fa3afa0730254283caf438518ffa3f68f2c7e7"},
+		{2, "empty", emptySnapshotData, 164, "0bf6427b3754bf09e578ee7316bcffdabd5a561d94f42c1813e0a3f91e16ff18"},
+		{3, "test", testSnapshotData, 1443, "7b9931aaaddddd99501a6d71c25cf6acb4f738cc5407b81eca028e11647c18f4"},
+		{3, "multi", multiPageSnapshotData, 2129, "9dde99037817e13ef785e96ac6da72a4d0fdd59783979274a7f3c0aa4b16c9da"},
+		{3, "empty", emptySnapshotData, 164, "0bf6427b3754bf09e578ee7316bcffdabd5a561d94f42c1813e0a3f91e16ff18"},
+	} {
+		withPageRows(t, tc.pageRows)
+		got := encodeSnapshot(tc.data())
+		sum := sha256.Sum256(got)
+		if len(got) != tc.size || hex.EncodeToString(sum[:]) != tc.sha256 {
+			t.Errorf("pageRows %d %s: %d bytes sha256 %x, want %d bytes %s",
+				tc.pageRows, tc.name, len(got), sum, tc.size, tc.sha256)
+		}
+	}
+}
+
+func emptySnapshotData() *snapshotData { return &snapshotData{} }
+
+// TestTortureSnapshotLengthMismatch changes the data under planned sections,
+// so that each section's bytes disagree with the length its frame already
+// declared, and requires the write to fail: in memory with an error naming
+// the section (or, for pages, the page), on disk with the temp file removed
+// and no snapshot visible.
+func TestTortureSnapshotLengthMismatch(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*snapshotData)
+		want   string
+	}{
+		{"records", func(d *snapshotData) { d.records[0].AppName += "x" }, "section 2 wrote"},
+		{"blobs", func(d *snapshotData) { d.blobs[appmeta.Key{Market: "m1", Package: "com.b"}] = []byte{1} }, "section 3 wrote"},
+		{"colmeta", func(d *snapshotData) { d.columns[2].Dict[0] += "x" }, "section 6 wrote"},
+		{"pages", func(d *snapshotData) { d.columns[3].Strs[0] += "x" }, `column "app_name" page at 84 encoded 20 bytes, planned 19`},
+	} {
+		data := testSnapshotData()
+		secs := snapshotSections(data)
+		tc.mutate(data)
+		if err := writeSections(io.Discard, secs); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: write err = %v, want one containing %q", tc.name, err, tc.want)
+		}
+	}
+
+	dir := t.TempDir()
+	data := testSnapshotData()
+	secs := snapshotSections(data)
+	data.records[0].AppName += "x"
+	if _, err := writeSnapshotFile(OSFS, dir, snapshotName(data.cursor), secs); err == nil {
+		t.Fatal("a section longer than declared was written")
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 0 {
+		t.Fatalf("failed write left %v", entries)
+	}
 }

@@ -79,8 +79,7 @@ type Store struct {
 
 	snapMu    sync.Mutex // serializes snapshot writes and the cadence counter
 	sinceSnap int
-	snapErr   error  // last automatic snapshot failure, for Err()
-	basePath  string // newest good snapshot file, "" after a cold rebuild
+	snapErr   error // last automatic snapshot failure, for Err()
 
 	closeOnce sync.Once
 	stopSync  chan struct{}
@@ -148,6 +147,7 @@ func Open(opts Options) (*Store, error) {
 	if err := s.fsys.MkdirAll(s.dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: create data dir: %w", err)
 	}
+	s.removeTempSnapshots()
 
 	scan, err := scanWAL(s.fsys, s.walPath, nil)
 	if err != nil {
@@ -253,7 +253,6 @@ func (s *Store) recover(ingOpts ingest.Options, scan walScanInfo) error {
 				}
 			} else {
 				s.ing = ing
-				s.basePath = path
 				s.m.setSnapshotLoadSeconds(time.Since(start).Seconds())
 				s.m.LastSnapshotGeneration.Store(cursor)
 				s.m.WALRecordsReplayed.Store(replayed)
@@ -391,6 +390,24 @@ func (s *Store) snapshotNames() []string {
 	return out
 }
 
+// removeTempSnapshots deletes, best effort, every snap-*.snap.tmp in the data
+// directory. Only a write cut short by a crash leaves one — a failed write
+// removes its own — and neither recovery nor pruning looks at temp files, so
+// without this sweep each crash would leak a snapshot-sized file for good.
+func (s *Store) removeTempSnapshots() {
+	names, err := s.fsys.ReadDir(s.dir)
+	if err != nil {
+		return
+	}
+	for _, name := range names {
+		if base, ok := strings.CutSuffix(name, tmpSuffix); ok {
+			if _, ok := parseSnapshotName(base); ok {
+				_ = s.fsys.Remove(joinPath(s.dir, name))
+			}
+		}
+	}
+}
+
 // quarantine renames a failed snapshot aside so the next Open does not trip
 // over it again, and counts it.
 func (s *Store) quarantine(name string) error {
@@ -457,14 +474,14 @@ func (s *Store) Err() error {
 	return s.snapErr
 }
 
-// WriteSnapshot persists the current (cursor, dataset) pair as a new
+// WriteSnapshot persists the current cursor, dataset and APK blobs as a new
 // snapshot generation and prunes old ones. Safe to call concurrently with
-// Apply — the pair is read atomically and WAL records at or past the cursor
-// are excluded from the blob harvest.
+// Apply — the ingestor hands out all three as one consistent state.
 func (s *Store) WriteSnapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
-	cursor, ds := s.ing.Snapshot()
+	start := time.Now()
+	cursor, ds, blobs := s.ing.Snapshot()
 	data := &snapshotData{cursor: cursor, crawlTime: time.Time{}}
 	if ds != nil {
 		data.crawlTime = ds.CrawlTime
@@ -474,86 +491,19 @@ func (s *Store) WriteSnapshot() error {
 			return err
 		}
 		data.columns = cols
-		blobs, err := s.harvestBlobs(cursor)
-		if err != nil {
-			return err
+		data.blobs = make(map[appmeta.Key][]byte, len(blobs))
+		for _, b := range blobs {
+			data.blobs[b.Key] = b.APK
 		}
-		data.blobs = blobs
 	}
-	path, err := writeSnapshot(s.fsys, s.dir, data)
-	if err != nil {
+	if _, err := writeSnapshot(s.fsys, s.dir, data); err != nil {
 		return err
 	}
-	s.basePath = path
+	s.m.setSnapshotWriteSeconds(time.Since(start).Seconds())
 	s.m.LastSnapshotGeneration.Store(cursor)
 	s.pruneSnapshots()
 	s.snapErr = nil
 	return nil
-}
-
-// harvestBlobs collects the APK bytes each ingested key was first observed
-// with, for every key in the dataset at the given cursor. The previous good
-// snapshot (when one exists and still loads) seeds the harvest: its blobs are
-// complete for everything before its cursor, so only the WAL records between
-// the two cursors are folded on top — keeping a snapshot's cost proportional
-// to the tail, and keeping harvests correct even when an in-place WAL
-// corruption truncated records the old snapshot already covered. With no
-// usable base, the whole WAL prefix is folded from seq 0.
-//
-// The fold shares ingest.Kept with the live apply path, so which listing
-// supplies a key's bytes cannot drift between the two. Records at or past the
-// cursor (including a torn in-flight tail from a concurrent append) are
-// ignored, not repaired — this is a read-only scan.
-func (s *Store) harvestBlobs(cursor uint64) (map[appmeta.Key][]byte, error) {
-	blobs := map[appmeta.Key][]byte{}
-	seen := map[appmeta.Key]bool{}
-	from := uint64(0)
-	if s.basePath != "" {
-		if base, err := loadSnapshotShallow(s.fsys, s.basePath); err == nil && base.cursor <= cursor {
-			for k, b := range base.blobs {
-				blobs[k] = b
-			}
-			// Seed seen with every key the base dataset held, not just blob
-			// owners: a key first ingested without APK bytes must not pick
-			// bytes up from a later listing during the harvest either.
-			for _, r := range base.records {
-				seen[r.Key()] = true
-			}
-			from = base.cursor
-		}
-	}
-	next := from
-	_, err := scanWAL(s.fsys, s.walPath, func(seq uint64, payload []byte) error {
-		if seq < from || seq >= cursor {
-			return nil
-		}
-		if seq != next {
-			return fmt.Errorf("%w: harvest gap: record seq %d, expected %d", ErrWALCorrupt, seq, next)
-		}
-		next++
-		listings, err := decodeListings(payload)
-		if err != nil {
-			return fmt.Errorf("%w: record seq %d: %v", ErrWALCorrupt, seq, err)
-		}
-		for _, l := range ingest.Kept(seen, listings) {
-			if l.APK != nil {
-				blobs[l.Record.Key()] = l.APK
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// The fold must have covered every batch between the base and the target
-	// cursor: a scan that stopped early (a silently corrupted record reads as
-	// a torn tail mid-log) would yield a snapshot whose blobs lie about the
-	// dataset. Refuse to write it — the WAL stays authoritative and the
-	// failure surfaces on Err().
-	if next != cursor {
-		return nil, fmt.Errorf("%w: blob harvest covered seq [%d,%d), need [%d,%d)", ErrWALCorrupt, from, next, from, cursor)
-	}
-	return blobs, nil
 }
 
 // pruneSnapshots removes generations beyond KeepSnapshots (best effort;

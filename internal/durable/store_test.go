@@ -527,6 +527,9 @@ func TestDurableMetricsServed(t *testing.T) {
 	if err := s.WriteSnapshot(); err != nil {
 		t.Fatal(err)
 	}
+	if s.Metrics().SnapshotWriteSeconds() <= 0 {
+		t.Fatal("snapshot write seconds not recorded")
+	}
 	s.Close()
 	s2 := openStore(t, storeOpts(fs, crawlTime))
 	defer s2.Close()
@@ -546,6 +549,7 @@ func TestDurableMetricsServed(t *testing.T) {
 		"durable_wal_records_replayed",
 		"durable_wal_tail_truncations",
 		"durable_snapshot_load_seconds",
+		"durable_snapshot_write_seconds",
 		"durable_snapshot_corrupt_quarantined",
 		"durable_last_snapshot_generation",
 	} {

@@ -11,11 +11,14 @@ package durable_test
 // a partial or corrupt one.
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
+	"marketscope/internal/appmeta"
 	"marketscope/internal/durable"
 	"marketscope/internal/durable/errfs"
 	"marketscope/internal/ingest"
@@ -322,7 +325,7 @@ func TestTortureWALBitFlip(t *testing.T) {
 		applyAll(t, s, ds[c:])
 		requireSameState(t, sourceOf(s), oracleSource(t, uint64(len(ds))))
 		// A snapshot written over the seq-gapped WAL must still restore the
-		// complete state (blob harvest rides the previous snapshot, not the
+		// complete state (its blobs come from the ingestor, never from the
 		// damaged log region).
 		if err := s.WriteSnapshot(); err != nil {
 			t.Fatalf("%s: snapshot over gapped WAL: %v", label, err)
@@ -335,6 +338,264 @@ func TestTortureWALBitFlip(t *testing.T) {
 		requireSameState(t, sourceOf(s2), oracleSource(t, uint64(len(ds))))
 		s2.Close()
 	}
+}
+
+// tempSnapshots lists the snapshot temp files in fsys's live data directory.
+func tempSnapshots(t *testing.T, fsys *errfs.MemFS) []string {
+	t.Helper()
+	names, err := fsys.ReadDir("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tmps []string
+	for _, n := range names {
+		if strings.HasSuffix(n, ".snap.tmp") {
+			tmps = append(tmps, n)
+		}
+	}
+	return tmps
+}
+
+// reopenSwept opens a store on fsys and requires that no snapshot temp file
+// survived Open, that the store serves a clean prefix at or past acked, and
+// that it finishes the stream to the full state.
+func reopenSwept(t *testing.T, label string, fsys *errfs.MemFS, acked uint64) {
+	t.Helper()
+	ds, _ := deltas(t)
+	s, err := durable.Open(tortureOpts(t, fsys))
+	if err != nil {
+		t.Fatalf("%s: reopen failed: %v", label, err)
+	}
+	defer s.Close()
+	if tmps := tempSnapshots(t, fsys); len(tmps) > 0 {
+		t.Fatalf("%s: Open left snapshot temp files %v", label, tmps)
+	}
+	c := s.Cursor()
+	if c < acked || c > uint64(len(ds)) {
+		t.Fatalf("%s: recovered cursor %d outside [acked=%d, %d]", label, c, acked, len(ds))
+	}
+	requireSameState(t, sourceOf(s), oracleSource(t, c))
+	applyAll(t, s, ds[c:])
+	requireSameState(t, sourceOf(s), oracleSource(t, uint64(len(ds))))
+}
+
+// TestTortureCrashedSnapshotTempSwept kills the process at the first snapshot
+// write. The half-written temp file stays in the live namespace (a killed
+// process, not a power cut), where nothing but Open's sweep would ever remove
+// it; the reopened store must have swept it and serve the acked prefix.
+func TestTortureCrashedSnapshotTempSwept(t *testing.T) {
+	ds, _ := deltas(t)
+	log := recordOps(t)
+	first := -1
+	for i, op := range log {
+		if op.Kind == "write" && strings.HasSuffix(op.Path, ".snap.tmp") {
+			first = i
+			break
+		}
+	}
+	if first < 0 {
+		t.Fatal("no snapshot writes recorded")
+	}
+	inj := errfs.NewInjector(errfs.New())
+	inj.Arm(first, errfs.ModeCrash, rand.New(rand.NewSource(19)))
+	acked, err := runWorkload(t, inj, ds)
+	if err == nil {
+		t.Fatal("workload survived a crashed filesystem")
+	}
+	if len(tempSnapshots(t, inj.Base)) == 0 {
+		t.Fatal("the crash left no temp file to sweep")
+	}
+	reopenSwept(t, fmt.Sprintf("crash@%d(%s)", first, log[first].Path), inj.Base, acked)
+}
+
+// TestTortureSnapshotMultiWrite fails, one at a time, each write of a
+// snapshot big enough to leave the writer's buffer several times — the
+// streamed writer's mid-file failures. A failed, short or crashed write must
+// surface on Err(), leave no snapshot for that cursor visible, and reopen to
+// the oracle with no temp file left; a silently flipped bit must get the
+// generation quarantined.
+func TestTortureSnapshotMultiWrite(t *testing.T) {
+	ds, _ := deltas(t)
+	log := recordOps(t)
+	// The last snapshot covers the whole corpus; its writes are the targets.
+	var tmp string
+	for i := len(log) - 1; i >= 0 && tmp == ""; i-- {
+		if log[i].Kind == "write" && strings.HasSuffix(log[i].Path, ".snap.tmp") {
+			tmp = log[i].Path
+		}
+	}
+	var writes []int
+	for i, op := range log {
+		if op.Kind == "write" && op.Path == tmp {
+			writes = append(writes, i)
+		}
+	}
+	if len(writes) < 3 {
+		t.Fatalf("snapshot %s took %d writes, want at least 3", tmp, len(writes))
+	}
+	final := strings.TrimSuffix(strings.TrimPrefix(tmp, "data/"), ".tmp")
+	rng := rand.New(rand.NewSource(23))
+	for _, mode := range []errfs.Mode{errfs.ModeErr, errfs.ModeShortWrite, errfs.ModeCrash, errfs.ModeBitFlip} {
+		for _, f := range writes {
+			label := fmt.Sprintf("%v@%d(%s)", mode, f, tmp)
+			inj := errfs.NewInjector(errfs.New())
+			inj.Arm(f, mode, rng)
+			s, err := durable.Open(tortureOpts(t, inj))
+			if err != nil {
+				t.Fatalf("%s: open: %v", label, err)
+			}
+			// The target is the final cadence snapshot: every batch is
+			// acked before it, and a snapshot failure never fails ingest.
+			applyAll(t, s, ds)
+			snapErr := s.Err()
+			s.Close()
+			if inj.Hits() == 0 {
+				t.Fatalf("%s: the armed write never happened", label)
+			}
+			names, err := inj.Base.ReadDir("data")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mode == errfs.ModeBitFlip {
+				if snapErr != nil {
+					t.Fatalf("%s: silent corruption surfaced: %v", label, snapErr)
+				}
+				s2 := openStore(t, tortureOpts(t, inj.Base))
+				requireSameState(t, sourceOf(s2), oracleSource(t, uint64(len(ds))))
+				quarantined := s2.Metrics().SnapshotCorruptQuarantined.Load()
+				s2.Close()
+				names, err := inj.Base.ReadDir("data")
+				if err != nil {
+					t.Fatal(err)
+				}
+				// The flipped generation is the newest, so nothing shadows it.
+				if quarantined != 1 || contains(names, final) || !contains(names, final+".corrupt") {
+					t.Fatalf("%s: corrupted snapshot not quarantined (count %d): %v", label, quarantined, names)
+				}
+				continue
+			}
+			if !errors.Is(snapErr, errfs.ErrInjected) {
+				t.Fatalf("%s: Err() = %v, want the injected fault", label, snapErr)
+			}
+			if contains(names, final) {
+				t.Fatalf("%s: failed snapshot %s is visible: %v", label, final, names)
+			}
+			if mode == errfs.ModeCrash {
+				// A power cut at the same instant: committed entries only.
+				verifyRecovery(t, label+"+powercut", inj.Base.Crash(rng), uint64(len(ds)), false)
+			}
+			reopenSwept(t, label, inj.Base, uint64(len(ds)))
+		}
+	}
+}
+
+// TestTortureSnapshotWhileApplying writes snapshots back to back on one
+// goroutine while another applies the whole stream. Every generation must
+// hold exactly the APK blobs of the batches below its cursor, must alone —
+// without any WAL — reopen to the oracle at that cursor, and the reopened
+// store's own snapshot must hold the same blobs again.
+func TestTortureSnapshotWhileApplying(t *testing.T) {
+	ds, crawlTime := deltas(t)
+	fs := errfs.New()
+	opts := storeOpts(fs, crawlTime)
+	opts.KeepSnapshots = len(ds) + 1 // keep every generation for inspection
+	s := openStore(t, opts)
+	done := make(chan struct{})
+	writeErr := make(chan error, 1)
+	go func() {
+		for {
+			if err := s.WriteSnapshot(); err != nil {
+				writeErr <- err
+				return
+			}
+			select {
+			case <-done:
+				writeErr <- nil
+				return
+			default:
+			}
+		}
+	}()
+	applyAll(t, s, ds)
+	close(done)
+	if err := <-writeErr; err != nil {
+		t.Fatalf("concurrent snapshot: %v", err)
+	}
+	s.Close()
+
+	names, err := fs.ReadDir("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	gens := 0
+	for _, name := range names {
+		if !strings.HasSuffix(name, ".snap") {
+			continue
+		}
+		gens++
+		label := "generation " + name
+		cursor, blobs, err := durable.SnapshotContents(fs, "data/"+name)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if want := blobsBelow(ds, cursor); !reflect.DeepEqual(blobs, want) {
+			t.Fatalf("%s: %d blobs, want %d", label, len(blobs), len(want))
+		}
+		body, err := fs.ReadFile("data/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		alone := errfs.New()
+		if err := alone.MkdirAll("data", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := alone.WriteFile("data/"+name, body); err != nil {
+			t.Fatal(err)
+		}
+		s2 := openStore(t, storeOpts(alone, crawlTime))
+		m := s2.Metrics()
+		if s2.Cursor() != cursor || m.LastSnapshotGeneration.Load() != cursor || m.SnapshotCorruptQuarantined.Load() != 0 {
+			t.Fatalf("%s: reopened at cursor %d from generation %d (%d quarantined)",
+				label, s2.Cursor(), m.LastSnapshotGeneration.Load(), m.SnapshotCorruptQuarantined.Load())
+		}
+		requireSameState(t, sourceOf(s2), oracleSource(t, cursor))
+		// The restored store persists the same blobs in its own snapshot.
+		if err := s2.WriteSnapshot(); err != nil {
+			t.Fatalf("%s: snapshot after restore: %v", label, err)
+		}
+		s2.Close()
+		if _, again, err := durable.SnapshotContents(alone, "data/"+name); err != nil || !reflect.DeepEqual(again, blobs) {
+			t.Fatalf("%s: snapshot after restore holds %d blobs (err %v), want %d", label, len(again), err, len(blobs))
+		}
+	}
+	if gens < 2 {
+		t.Fatalf("only %d generations written", gens)
+	}
+}
+
+// blobsBelow folds ds[:cursor] the way ingest keeps listings — the first
+// listing of each key not seen in an earlier batch wins — and returns the
+// APK bytes of every kept listing that carried them.
+func blobsBelow(ds []ingest.Delta, cursor uint64) map[appmeta.Key][]byte {
+	seen := map[appmeta.Key]bool{}
+	blobs := map[appmeta.Key][]byte{}
+	for _, d := range ds[:cursor] {
+		batch := map[appmeta.Key]bool{}
+		for _, l := range d.Listings {
+			k := l.Record.Key()
+			if seen[k] || batch[k] {
+				continue
+			}
+			batch[k] = true
+			if l.APK != nil {
+				blobs[k] = l.APK
+			}
+		}
+		for k := range batch {
+			seen[k] = true
+		}
+	}
+	return blobs
 }
 
 // walFileName mirrors the store's WAL file name for op-log matching without

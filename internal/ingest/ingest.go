@@ -42,6 +42,12 @@ type Listing struct {
 	APK    []byte         `json:"apk,omitempty"`
 }
 
+// Blob is the APK archive one kept listing carried.
+type Blob struct {
+	Key appmeta.Key
+	APK []byte
+}
+
 // Delta is one append-only batch at one cursor position.
 type Delta struct {
 	Seq      uint64    `json:"seq"`
@@ -109,6 +115,11 @@ type Ingestor struct {
 	next  uint64
 	seen  map[appmeta.Key]bool
 	ds    *analysis.Dataset
+	// blobs holds, in landing order, the APK bytes of every kept listing
+	// that carried them — what a durable snapshot must persist next to the
+	// records. Append-only, so Snapshot can hand out a prefix uncopied. It
+	// keeps those bytes alive for the ingestor's lifetime.
+	blobs []Blob
 }
 
 // New builds an ingestor at cursor 0 with no dataset.
@@ -135,13 +146,16 @@ func (ing *Ingestor) Dataset() *analysis.Dataset {
 	return ing.ds
 }
 
-// Snapshot returns the cursor and the dataset as one consistent pair — the
-// state a durable snapshot must capture atomically (a cursor read and a
-// dataset read made separately could straddle a batch).
-func (ing *Ingestor) Snapshot() (uint64, *analysis.Dataset) {
+// Snapshot returns the cursor, the dataset and the APK bytes of every kept
+// listing that carried them as one consistent state — what a durable snapshot
+// must capture atomically (reads made separately could straddle a batch).
+// The blobs are a capacity-capped prefix of the ingestor's own list: later
+// batches append past it, never into it, so the caller may read it freely
+// but must not modify it.
+func (ing *Ingestor) Snapshot() (uint64, *analysis.Dataset, []Blob) {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()
-	return ing.next, ing.ds
+	return ing.next, ing.ds, ing.blobs[:len(ing.blobs):len(ing.blobs)]
 }
 
 // Restore rebuilds an ingestor from durable state: the records of every
@@ -151,7 +165,8 @@ func (ing *Ingestor) Snapshot() (uint64, *analysis.Dataset) {
 // cold BuildDatasetFromRecords+Enrich over the same records — so a restored
 // ingestor is indistinguishable from one that applied the original batches.
 // Publish and Commit hooks are not invoked. apkOf resolves APK bytes exactly
-// as at first ingest; records must already be deduplicated.
+// as at first ingest, and the bytes it resolves seed the blob list Snapshot
+// returns; records must already be deduplicated.
 func Restore(opts Options, cursor uint64, records []appmeta.Record, apkOf func(appmeta.Key) ([]byte, bool)) (*Ingestor, error) {
 	ing := New(opts)
 	ing.seen = make(map[appmeta.Key]bool, len(records))
@@ -164,6 +179,11 @@ func Restore(opts Options, cursor uint64, records []appmeta.Record, apkOf func(a
 			return nil, fmt.Errorf("ingest: restore: duplicate key %s/%s", key.Market, key.Package)
 		}
 		ing.seen[key] = true
+		if apkOf != nil {
+			if b, ok := apkOf(key); ok {
+				ing.blobs = append(ing.blobs, Blob{Key: key, APK: b})
+			}
+		}
 	}
 	if len(records) > 0 {
 		ds, _ := ing.state.Append(nil, opts.CrawlTime, records, apkOf)
@@ -205,7 +225,7 @@ func (ing *Ingestor) Apply(d Delta) (Result, error) {
 		}
 	}
 
-	keptListings := Kept(ing.seen, d.Listings)
+	keptListings := keep(ing.seen, d.Listings)
 	res.Skipped = len(d.Listings) - len(keptListings)
 	kept := make([]appmeta.Record, 0, len(keptListings))
 	apks := make(map[appmeta.Key][]byte, len(keptListings))
@@ -213,6 +233,7 @@ func (ing *Ingestor) Apply(d Delta) (Result, error) {
 		kept = append(kept, l.Record)
 		if l.APK != nil {
 			apks[l.Record.Key()] = l.APK
+			ing.blobs = append(ing.blobs, Blob{Key: l.Record.Key(), APK: l.APK})
 		}
 	}
 	res.Added = len(kept)
@@ -234,13 +255,10 @@ func (ing *Ingestor) Apply(d Delta) (Result, error) {
 	return res, nil
 }
 
-// Kept canonicalizes one batch exactly as Apply does: listings sorted into
-// (market, package) order, first occurrence of each not-yet-seen key kept and
-// marked in seen, everything else dropped. Exported because the durable
-// layer's snapshot writer folds the WAL prefix through the same function to
-// recover which listing supplied each ingested key's APK bytes — the fold
-// and the live apply path must agree byte for byte, so they share the code.
-func Kept(seen map[appmeta.Key]bool, listings []Listing) []Listing {
+// keep canonicalizes one batch: listings sorted into (market, package) order,
+// first occurrence of each not-yet-seen key kept and marked in seen,
+// everything else dropped.
+func keep(seen map[appmeta.Key]bool, listings []Listing) []Listing {
 	batch := append([]Listing(nil), listings...)
 	sort.Slice(batch, func(i, j int) bool {
 		a, b := batch[i].Record, batch[j].Record
