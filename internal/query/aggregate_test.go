@@ -410,29 +410,34 @@ func FuzzAggregate(f *testing.F) {
 	f.Add([]byte(`{"group_by":["date"],"aggregates":[{"op":"min","field":"name"},{"op":"max","field":"rating"}]}`))
 	f.Add([]byte(`{"group_by":["market"],"aggregates":[{"op":"count"}],"filters":[{"field":"date","op":">=","value":"2018-05-02"},{"field":"date","op":"<","value":"2018-05-05T08:00:00+08:00"}]}`))
 	f.Add([]byte(`{"group_by":["flagged"],"aggregates":[{"op":"mean","field":"size"}],"filters":[{"field":"rating","op":">","value":1.5},{"field":"rating","op":"<=","value":3},{"field":"rating","op":"==","value":2.5}]}`))
+	f.Add([]byte(`{"group_by":["flagged"],"aggregates":[{"op":"count","where":[{"field":"rating","op":">=","value":2}],"as":"hi"},{"op":"max","field":"rating"},{"op":"topk","field":"rating","k":3}]}`))
 
 	rng := rand.New(rand.NewSource(5))
-	e := NewEngine(testIndexedRegistry(), randomRows(rng, 64))
+	engines := []*Engine[row]{
+		NewEngine(testIndexedRegistry(), randomRows(rng, 64)),
+		NewEngine(testIndexedRegistry(), nanRows(rng, blockSize+segmentSize+37)),
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		a, err := ParseAggregate(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		planned, err1 := e.Aggregate(a)
-		oracle, err2 := e.AggregateOracle(a)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("paths disagree on validity: planned err %v, oracle err %v (request %+v)", err1, err2, a)
-		}
-		if err1 != nil {
-			return
-		}
-		if !reflect.DeepEqual(planned.Rows, oracle.Rows) ||
-			!reflect.DeepEqual(planned.Fields, oracle.Fields) ||
-			planned.Meta.TotalMatched != oracle.Meta.TotalMatched ||
-			planned.Meta.Returned != oracle.Meta.Returned {
-			pj, _ := json.Marshal(planned.Rows)
-			oj, _ := json.Marshal(oracle.Rows)
-			t.Fatalf("planned result diverges from oracle (request %+v):\nplanned %s\noracle  %s", a, pj, oj)
+		for _, e := range engines {
+			planned, err1 := e.Aggregate(a)
+			oracle, err2 := e.AggregateOracle(a)
+			if (err1 == nil) != (err2 == nil) {
+				t.Fatalf("paths disagree on validity: planned err %v, oracle err %v (request %+v)", err1, err2, a)
+			}
+			if err1 != nil {
+				return
+			}
+			if !sameRows(planned.Rows, oracle.Rows) ||
+				!reflect.DeepEqual(planned.Fields, oracle.Fields) ||
+				planned.Meta.TotalMatched != oracle.Meta.TotalMatched ||
+				planned.Meta.Returned != oracle.Meta.Returned {
+				t.Fatalf("planned result diverges from oracle on %d rows (request %+v):\nplanned %v\noracle  %v",
+					e.Len(), a, planned.Rows, oracle.Rows)
+			}
 		}
 	})
 }

@@ -6,9 +6,10 @@ import "context"
 // aggregations are CPU-bound loops over millions of rows; when the caller's
 // context dies (request timeout, disconnected client) the engine should stop
 // burning cores, not finish a result nobody will read. The row loops poll a
-// canceler every cancelStride rows — one non-blocking channel read, free when
-// the context can never cancel — and every fan-out path joins its workers
-// before surfacing ctx.Err(), so a cancelled call never leaks a goroutine.
+// canceler at least every cancelStride rows — one non-blocking channel
+// read, free when the context can never cancel — and every fan-out path
+// joins its workers before surfacing ctx.Err(), so a cancelled call never
+// leaks a goroutine.
 
 // cancelStride is the number of rows a scan loop processes between context
 // checks: small enough that cancellation lands within microseconds of work,

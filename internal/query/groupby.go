@@ -232,23 +232,28 @@ func (e *Engine[T]) groupRows(ctx context.Context, pa *preparedAgg[T], matched [
 }
 
 // packedKeyer returns a per-row group-key packer when every group column is
-// dictionary-encoded and the code widths fit one uint64: each column
-// contributes bits.Len(len(dict)) bits holding 0 for null or code+1
-// otherwise, so distinct value tuples map to distinct keys. Grouping then
-// hashes machine words instead of encoded byte strings — the dictionary
-// payoff for group-by. keyBits is the total packed width (every key is
+// dictionary-encoded or bool and the widths fit one uint64: a dictionary
+// column contributes bits.Len(len(dict)) bits holding 0 for null or code+1
+// otherwise, a bool column 2 bits holding 0 for null, 1 for false and 2 for
+// true, so distinct value tuples map to distinct keys. Grouping then hashes
+// machine words instead of encoded byte strings — the dictionary payoff for
+// group-by. keyBits is the total packed width (every key is
 // < 1<<keyBits), letting the caller pick a dense table over a hash map when
 // the key space is small. ok is false (caller falls back to byte keys) when
-// any column is plain or the widths overflow.
+// any column is of another layout or the widths overflow.
 func packedKeyer(groupCols []*column) (keyAt func(int) uint64, keyBits int, ok bool) {
 	shift := 0
 	shifts := make([]int, len(groupCols))
 	for i, col := range groupCols {
-		if col.dict == nil {
+		shifts[i] = shift
+		switch {
+		case col.dict != nil:
+			shift += bits.Len(uint(len(col.dict)))
+		case col.kind == KindBool:
+			shift += 2
+		default:
 			return nil, 0, false
 		}
-		shifts[i] = shift
-		shift += bits.Len(uint(len(col.dict)))
 	}
 	if shift > 64 {
 		return nil, 0, false
@@ -256,9 +261,16 @@ func packedKeyer(groupCols []*column) (keyAt func(int) uint64, keyBits int, ok b
 	return func(row int) uint64 {
 		var key uint64
 		for i, col := range groupCols {
-			if !col.nulls.get(row) {
-				key |= (uint64(col.codes[row]) + 1) << shifts[i]
+			if col.nulls.get(row) {
+				continue
 			}
+			var v uint64
+			if col.dict != nil {
+				v = uint64(col.codes[row]) + 1
+			} else {
+				v = uint64(1 + b2i(col.bools[row]))
+			}
+			key |= v << shifts[i]
 		}
 		return key
 	}, shift, true
@@ -519,20 +531,10 @@ type aggCellFn struct {
 
 // compileAggCell builds the typed per-group evaluator of one spec — the
 // columnar mirror of oracleCell, computing the same arithmetic in the same
-// row order.
+// row order. The spec's where filters run as residual kernels over each
+// group's rows, a block at a time, and the cell folds the rows that pass.
 func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCellFn {
-	preds := make([]func(int) bool, len(ca.where))
-	for i := range ca.where {
-		preds[i] = e.predicate(ca.where[i])
-	}
-	pass := func(row int) bool {
-		for _, p := range preds {
-			if !p(row) {
-				return false
-			}
-		}
-		return true
-	}
+	where := e.kernels(ca.where)
 	var col *column
 	if ca.ord >= 0 {
 		col = e.columnFor(ca.ord)
@@ -542,26 +544,23 @@ func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCel
 	case AggCount:
 		return &aggCellFn{compute: func(rows []int32) any {
 			n := 0
-			for _, r := range rows {
-				row := int(r)
-				if !pass(row) {
-					continue
+			eachPassing(where, rows, func(sel []int32) {
+				if col == nil || col.nullCount == 0 {
+					n += len(sel)
+					return
 				}
-				if col != nil && col.nulls.get(row) {
-					continue
+				for _, r := range sel {
+					if !col.nulls.get(int(r)) {
+						n++
+					}
 				}
-				n++
-			}
+			})
 			return int64(n)
 		}}
 	case AggShare:
 		return &aggCellFn{compute: func(rows []int32) any {
 			n := 0
-			for _, r := range rows {
-				if pass(int(r)) {
-					n++
-				}
-			}
+			eachPassing(where, rows, func(sel []int32) { n += len(sel) })
 			if totalMatched == 0 {
 				return float64(0)
 			}
@@ -574,23 +573,25 @@ func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCel
 			var sumInt int64
 			var sumFloat float64
 			n := 0
-			for _, r := range rows {
-				row := int(r)
-				if !pass(row) || col.nulls.get(row) {
-					continue
-				}
-				switch kind {
-				case KindInt:
-					sumInt += col.ints[row]
-				case KindFloat:
-					sumFloat += col.floats[row]
-				case KindBool:
-					if col.bools[row] {
-						sumInt++
+			eachPassing(where, rows, func(sel []int32) {
+				for _, r := range sel {
+					row := int(r)
+					if col.nulls.get(row) {
+						continue
 					}
+					switch kind {
+					case KindInt:
+						sumInt += col.ints[row]
+					case KindFloat:
+						sumFloat += col.floats[row]
+					case KindBool:
+						if col.bools[row] {
+							sumInt++
+						}
+					}
+					n++
 				}
-				n++
-			}
+			})
 			if n == 0 {
 				return nil
 			}
@@ -609,20 +610,22 @@ func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCel
 		min := ca.op == AggMin
 		return &aggCellFn{compute: func(rows []int32) any {
 			best := -1
-			for _, r := range rows {
-				row := int(r)
-				if !pass(row) || col.nulls.get(row) {
-					continue
+			eachPassing(where, rows, func(sel []int32) {
+				for _, r := range sel {
+					row := int(r)
+					if col.nulls.get(row) {
+						continue
+					}
+					if best < 0 {
+						best = row
+						continue
+					}
+					c := col.compareRows(row, best)
+					if (min && c < 0) || (!min && c > 0) {
+						best = row
+					}
 				}
-				if best < 0 {
-					best = row
-					continue
-				}
-				c := col.compareRows(row, best)
-				if (min && c < 0) || (!min && c > 0) {
-					best = row
-				}
-			}
+			})
 			if best < 0 {
 				return nil
 			}
@@ -635,32 +638,36 @@ func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCel
 			return &aggCellFn{compute: func(rows []int32) any {
 				seen := make([]bool, len(col.dict))
 				n := 0
-				for _, r := range rows {
-					row := int(r)
-					if !pass(row) || col.nulls.get(row) {
-						continue
+				eachPassing(where, rows, func(sel []int32) {
+					for _, r := range sel {
+						row := int(r)
+						if col.nulls.get(row) {
+							continue
+						}
+						if !seen[col.codes[row]] {
+							seen[col.codes[row]] = true
+							n++
+						}
 					}
-					if !seen[col.codes[row]] {
-						seen[col.codes[row]] = true
-						n++
-					}
-				}
+				})
 				return int64(n)
 			}}
 		}
 		return &aggCellFn{compute: func(rows []int32) any {
 			seen := map[string]bool{}
 			var buf []byte
-			for _, r := range rows {
-				row := int(r)
-				if !pass(row) || col.nulls.get(row) {
-					continue
+			eachPassing(where, rows, func(sel []int32) {
+				for _, r := range sel {
+					row := int(r)
+					if col.nulls.get(row) {
+						continue
+					}
+					buf = col.appendKey(buf[:0], row)
+					if !seen[string(buf)] {
+						seen[string(buf)] = true
+					}
 				}
-				buf = col.appendKey(buf[:0], row)
-				if !seen[string(buf)] {
-					seen[string(buf)] = true
-				}
-			}
+			})
 			return int64(len(seen))
 		}}
 	case AggTopK:
@@ -672,13 +679,14 @@ func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCel
 			// tiebreak is unreachable (one entry per distinct value).
 			return &aggCellFn{compute: func(rows []int32) any {
 				counts := make([]int, len(col.dict))
-				for _, r := range rows {
-					row := int(r)
-					if !pass(row) || col.nulls.get(row) {
-						continue
+				eachPassing(where, rows, func(sel []int32) {
+					for _, r := range sel {
+						row := int(r)
+						if !col.nulls.get(row) {
+							counts[col.codes[row]]++
+						}
 					}
-					counts[col.codes[row]]++
-				}
+				})
 				var live []int
 				for code, c := range counts {
 					if c > 0 {
@@ -710,20 +718,22 @@ func (e *Engine[T]) compileAggCell(ca *compiledAgg[T], totalMatched int) *aggCel
 			index := map[string]int{}
 			var entries []entry
 			var buf []byte
-			for _, r := range rows {
-				row := int(r)
-				if !pass(row) || col.nulls.get(row) {
-					continue
+			eachPassing(where, rows, func(sel []int32) {
+				for _, r := range sel {
+					row := int(r)
+					if col.nulls.get(row) {
+						continue
+					}
+					buf = col.appendKey(buf[:0], row)
+					ei, ok := index[string(buf)]
+					if !ok {
+						ei = len(entries)
+						index[string(buf)] = ei
+						entries = append(entries, entry{row: row})
+					}
+					entries[ei].count++
 				}
-				buf = col.appendKey(buf[:0], row)
-				ei, ok := index[string(buf)]
-				if !ok {
-					ei = len(entries)
-					index[string(buf)] = ei
-					entries = append(entries, entry{row: row})
-				}
-				entries[ei].count++
-			}
+			})
 			if len(entries) == 0 {
 				return nil
 			}

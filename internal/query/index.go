@@ -129,8 +129,7 @@ func (ix *hashIndex) dictBM(operand any) *bitmap {
 	if !ok {
 		return nil
 	}
-	k := sort.SearchStrings(ix.dict, s)
-	if k < len(ix.dict) && ix.dict[k] == s {
+	if k, exact := dictCode(ix.dict, s); exact {
 		return ix.dictBMs[k]
 	}
 	return nil

@@ -286,147 +286,6 @@ func intersect2(a, b []int32) []int32 {
 	return out
 }
 
-// predicate compiles one filter into a closure over the field's typed
-// column: no boxing, no reflection, no normalize() in the row loop. Matches
-// compiledFilter.match row for row.
-func (e *Engine[T]) predicate(cf compiledFilter[T]) func(int) bool {
-	col := e.columnFor(e.ordinals[cf.field.Name])
-	nulls := col.nulls
-	switch cf.op {
-	case OpIsNull:
-		want := cf.wantNull
-		return func(i int) bool { return nulls.get(i) == want }
-	case OpContains:
-		sub := cf.operand.(string)
-		if col.dict != nil {
-			// One Contains per dictionary entry instead of one per row.
-			match := make([]bool, len(col.dict))
-			for k, s := range col.dict {
-				match[k] = strings.Contains(s, sub)
-			}
-			codes := col.codes
-			return func(i int) bool { return !nulls.get(i) && match[codes[i]] }
-		}
-		strs := col.strs
-		return func(i int) bool { return !nulls.get(i) && strings.Contains(strs[i], sub) }
-	case OpIn:
-		if col.dict != nil {
-			// Resolve each operand to a code once; the row loop is one
-			// table lookup.
-			match := make([]bool, len(col.dict))
-			for _, operand := range cf.operands {
-				s, ok := operand.(string)
-				if !ok {
-					continue
-				}
-				if k := sort.SearchStrings(col.dict, s); k < len(col.dict) && col.dict[k] == s {
-					match[k] = true
-				}
-			}
-			codes := col.codes
-			return func(i int) bool { return !nulls.get(i) && match[codes[i]] }
-		}
-		operands := cf.operands
-		return func(i int) bool {
-			if nulls.get(i) {
-				return false
-			}
-			for _, operand := range operands {
-				if col.compareOperand(i, operand) == 0 {
-					return true
-				}
-			}
-			return false
-		}
-	}
-	// Ordering operators: specialize the hot kinds so the row loop compares
-	// machine types directly; the generic fallback still avoids boxing.
-	op := cf.op
-	switch col.kind {
-	case KindInt:
-		vals, want := col.ints, cf.operand.(int64)
-		return func(i int) bool { return !nulls.get(i) && opHolds(op, cmpOrdered(vals[i], want)) }
-	case KindFloat:
-		vals, want := col.floats, cf.operand.(float64)
-		return func(i int) bool { return !nulls.get(i) && opHolds(op, cmpOrdered(vals[i], want)) }
-	case KindString:
-		want := cf.operand.(string)
-		if col.dict != nil {
-			return dictOrderPredicate(col, op, want, nulls)
-		}
-		vals := col.strs
-		return func(i int) bool { return !nulls.get(i) && opHolds(op, cmpOrdered(vals[i], want)) }
-	case KindTime:
-		secs, nsecs := col.timeSec, col.timeNsec
-		want := cf.operand.(time.Time)
-		wsec, wnsec := want.Unix(), int32(want.Nanosecond())
-		return func(i int) bool {
-			return !nulls.get(i) && opHolds(op, compareTime(secs[i], nsecs[i], wsec, wnsec))
-		}
-	}
-	operand := cf.operand
-	return func(i int) bool { return !nulls.get(i) && opHolds(op, col.compareOperand(i, operand)) }
-}
-
-// dictOrderPredicate compiles an ordering operator over a dictionary-encoded
-// column: the operand binary-searches into the sorted dictionary once, then
-// every row is a code-interval test — no string comparison in the loop.
-func dictOrderPredicate(col *column, op Op, want string, nulls bitset) func(int) bool {
-	firstGE := sort.SearchStrings(col.dict, want)
-	exact := firstGE < len(col.dict) && col.dict[firstGE] == want
-	codes := col.codes
-	switch op {
-	case OpEq:
-		if !exact {
-			return func(int) bool { return false }
-		}
-		w := uint32(firstGE)
-		return func(i int) bool { return !nulls.get(i) && codes[i] == w }
-	case OpNe:
-		if !exact {
-			return func(i int) bool { return !nulls.get(i) }
-		}
-		w := uint32(firstGE)
-		return func(i int) bool { return !nulls.get(i) && codes[i] != w }
-	}
-	firstGT := firstGE
-	if exact {
-		firstGT++
-	}
-	// The matching codes form the half-open interval [lo, hi).
-	var lo, hi uint32
-	switch op {
-	case OpLt:
-		lo, hi = 0, uint32(firstGE)
-	case OpLe:
-		lo, hi = 0, uint32(firstGT)
-	case OpGt:
-		lo, hi = uint32(firstGT), uint32(len(col.dict))
-	case OpGe:
-		lo, hi = uint32(firstGE), uint32(len(col.dict))
-	}
-	return func(i int) bool { return !nulls.get(i) && codes[i] >= lo && codes[i] < hi }
-}
-
-// opHolds applies an ordering operator to a three-way comparison result.
-func opHolds(op Op, c int) bool {
-	switch op {
-	case OpEq:
-		return c == 0
-	case OpNe:
-		return c != 0
-	case OpLt:
-		return c < 0
-	case OpLe:
-		return c <= 0
-	case OpGt:
-		return c > 0
-	case OpGe:
-		return c >= 0
-	}
-	return false
-}
-
 // zonePruners compiles the zone-map skip tests of a filter set: one
 // func(segment) per filter whose column has zones and whose operator admits
 // a sound rule. A pruner returning true means the segment provably contains
@@ -531,20 +390,18 @@ func zonePruner(col *column, op Op, operand any, operands []any, wantNull bool) 
 	return nil
 }
 
-// matchColumns evaluates predicates over the typed columns. candidates nil
-// means the full dataset; on that path, compiled zone pruners first decide
-// per segment whether any row can match, whole skipped segments never enter
-// the row loop, and the skip/scan tallies land in explain (which may be
-// nil). Output is ascending dataset order; large inputs fan out across CPUs
-// in chunk order exactly like the oracle's match(). The canceler is polled
-// every cancelStride rows; a cancelled scan joins every worker, recycles the
-// chunk buffers and returns ctx.Err().
+// matchColumns runs the filters' kernels over the typed columns. candidates
+// nil means the full dataset; on that path, compiled zone pruners first
+// decide per segment whether any row can match, whole skipped segments never
+// reach a kernel, and the skip/scan tallies land in explain (which may be
+// nil). Rows move through the kernels a block at a time, and a full-scan
+// block never crosses a segment. Output is ascending dataset order; large
+// inputs fan out across CPUs in chunk order exactly like the oracle's
+// match(). The canceler is polled once per block; a cancelled scan joins
+// every worker, recycles the chunk buffers and returns ctx.Err().
 func (e *Engine[T]) matchColumns(ctx context.Context, filters []compiledFilter[T], candidates []int32, explain *Explain) ([]int32, error) {
 	cancel := newCanceler(ctx)
-	preds := make([]func(int) bool, len(filters))
-	for i, cf := range filters {
-		preds[i] = e.predicate(cf)
-	}
+	ks := e.kernels(filters)
 	n := len(e.items)
 	if candidates != nil {
 		n = len(candidates)
@@ -578,36 +435,35 @@ func (e *Engine[T]) matchColumns(ctx context.Context, filters []compiledFilter[T
 			}
 		}
 	}
-	rowAt := func(i int) int {
-		if candidates != nil {
-			return int(candidates[i])
-		}
-		return i
-	}
 	// scanChunk returns false when it observed cancellation; out is then
-	// partial and must be discarded.
+	// partial and must be discarded. Each block is laid out as the selection
+	// vector in out's spare capacity, so the rows that pass are already in
+	// place.
 	scanChunk := func(lo, hi int, out []int32) ([]int32, bool) {
-		for i := lo; i < hi; i++ {
-			if (i-lo)%cancelStride == 0 && cancel.hit() {
+		for i := lo; i < hi; {
+			end := min(hi, i+blockSize)
+			if candidates == nil {
+				segEnd := (i/segmentSize + 1) * segmentSize
+				if skip != nil && skip[i/segmentSize] {
+					i = segEnd
+					continue
+				}
+				end = min(end, segEnd)
+			}
+			if cancel.hit() {
 				return out, false
 			}
-			if skip != nil && skip[i/segmentSize] {
-				// Jump to the segment's last row; the loop increment moves
-				// past it.
-				i = (i/segmentSize+1)*segmentSize - 1
-				continue
-			}
-			row := rowAt(i)
-			ok := true
-			for _, p := range preds {
-				if !p(row) {
-					ok = false
-					break
+			out = slices.Grow(out, end-i)
+			sel := out[len(out) : len(out)+end-i]
+			if candidates != nil {
+				copy(sel, candidates[i:end])
+			} else {
+				for j := range sel {
+					sel[j] = int32(i + j)
 				}
 			}
-			if ok {
-				out = append(out, int32(row))
-			}
+			out = out[:len(out)+len(runKernels(ks, sel))]
+			i = end
 		}
 		return out, true
 	}
