@@ -512,7 +512,7 @@ func TestMarketsimPagedAnalysisRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	metrics := string(blob)
-	for _, want := range []string{"paged_resident_bytes", "paged_fetches", "paged_evictions"} {
+	for _, want := range []string{"paged_resident_bytes", "paged_fetches", "paged_hits", "paged_evictions"} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)
 		}

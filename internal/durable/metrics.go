@@ -89,6 +89,9 @@ func (m *Metrics) Register(reg *metrics.Registry) {
 	reg.GaugeFunc("paged_fetches",
 		"Column page-in fetches started (including retries' first attempts).",
 		func() float64 { return float64(m.pageStats().Fetches) })
+	reg.GaugeFunc("paged_hits",
+		"Column acquires that pinned an already resident column without fetching.",
+		func() float64 { return float64(m.pageStats().Hits) })
 	reg.GaugeFunc("paged_evictions",
 		"Resident columns evicted to stay under the page budget.",
 		func() float64 { return float64(m.pageStats().Evictions) })

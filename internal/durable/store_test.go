@@ -552,6 +552,12 @@ func TestDurableMetricsServed(t *testing.T) {
 		"durable_snapshot_write_seconds",
 		"durable_snapshot_corrupt_quarantined",
 		"durable_last_snapshot_generation",
+		"paged_resident_bytes",
+		"paged_fetches",
+		"paged_hits",
+		"paged_evictions",
+		"paged_fetch_retries",
+		"paged_quarantines",
 	} {
 		if !strings.Contains(body, name) {
 			t.Fatalf("/metrics missing %s:\n%s", name, body)

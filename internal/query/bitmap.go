@@ -153,8 +153,7 @@ func (b *bitmap) appendWords(key uint16, words []uint64) {
 // bmAnd intersects two bitmaps into a fresh one.
 func bmAnd(a, b *bitmap) *bitmap {
 	out := &bitmap{}
-	var scratchA, scratchB [1024]uint64
-	var words [1024]uint64
+	var scratch, words [1024]uint64
 	i, j := 0, 0
 	for i < len(a.cs) && j < len(b.cs) {
 		ca, cb := &a.cs[i], &b.cs[j]
@@ -176,8 +175,7 @@ func bmAnd(a, b *bitmap) *bitmap {
 				if arr.dense != nil {
 					arr, other = cb, ca
 				}
-				dense := other.asDense(scratchB[:])
-				_ = scratchA
+				dense := other.asDense(scratch[:])
 				base := int32(uint32(ca.key) << 16)
 				for _, v := range arr.array {
 					if dense[v>>6]&(1<<(v&63)) != 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,10 +14,15 @@ import (
 // engine holds its items (the row slice recovered from the WAL-backed record
 // section, which is what correctness falls back on) but leaves the typed
 // column planes in the snapshot file, loading each through a ColumnFetcher the
-// first time a scan needs it. Residency is governed by a byte-budget LRU
+// first time a scan needs it. Residency is governed by a byte budget
 // (PagePool): a column is pinned while any scan uses it and evictable after,
 // so the served corpus can exceed the budget as long as no single query's
-// column set does.
+// column set does. The victim is the unpinned column predicted to be needed
+// last, ranked by its gap between acquires (the core of LIRS, Jiang & Zhang,
+// SIGMETRICS 2002): a workload cycling over more columns than fit keeps a
+// stable part of its cycle resident, where LRU would evict each column just
+// before it is needed again, and a column acquired only once cannot flush
+// columns in re-use.
 //
 // Every fetch is fallible, and the failure ladder is explicit:
 //
@@ -74,11 +80,13 @@ type ColumnFetcher interface {
 }
 
 // PageStats is a point-in-time snapshot of a pool's counters, feeding the
-// paged_* metrics.
+// paged_* metrics. Hits counts acquires that pinned an already resident
+// column, waiters on another acquirer's load included.
 type PageStats struct {
 	Budget        int64
 	ResidentBytes int64
 	Fetches       int64
+	Hits          int64
 	Evictions     int64
 	Retries       int64
 	Quarantines   int64
@@ -96,11 +104,14 @@ type PagePool struct {
 
 	mu       sync.Mutex
 	resident int64
-	// LRU of resident, unpinned slots: head is the eviction victim, tail the
-	// most recently released.
-	lruHead, lruTail *pagedSlot
+	// tick counts acquires; slots stamp their last two acquires with it.
+	tick uint64
+	// Idle list of resident, unpinned slots in release order: the eviction
+	// candidates.
+	idleHead, idleTail *pagedSlot
 
 	fetches     atomic.Int64
+	hits        atomic.Int64
 	evictions   atomic.Int64
 	retryCount  atomic.Int64
 	quarantines atomic.Int64
@@ -128,6 +139,7 @@ func (p *PagePool) Stats() PageStats {
 		Budget:        p.budget,
 		ResidentBytes: resident,
 		Fetches:       p.fetches.Load(),
+		Hits:          p.hits.Load(),
 		Evictions:     p.evictions.Load(),
 		Retries:       p.retryCount.Load(),
 		Quarantines:   p.quarantines.Load(),
@@ -149,57 +161,90 @@ type pagedSlot struct {
 	pins        int
 	loading     chan struct{} // non-nil while one loader fetches; closed when done
 	quarantined bool
-	dead        bool // epoch retired: free on last release instead of entering the LRU
-	inLRU       bool
-	prev, next  *pagedSlot
+	dead        bool // epoch retired: free on last release instead of going idle
+	// lastUse and prevUse are the ticks of the slot's last two acquires (0
+	// for none), loadedAt the tick its current residency was reserved at.
+	// The slot outlives eviction, so a refetched column keeps its history.
+	lastUse, prevUse, loadedAt uint64
+	idle                       bool
+	prev, next                 *pagedSlot
 }
 
-func (p *PagePool) lruRemove(s *pagedSlot) {
-	if !s.inLRU {
+func (p *PagePool) idleRemove(s *pagedSlot) {
+	if !s.idle {
 		return
 	}
 	if s.prev != nil {
 		s.prev.next = s.next
 	} else {
-		p.lruHead = s.next
+		p.idleHead = s.next
 	}
 	if s.next != nil {
 		s.next.prev = s.prev
 	} else {
-		p.lruTail = s.prev
+		p.idleTail = s.prev
 	}
-	s.prev, s.next, s.inLRU = nil, nil, false
+	s.prev, s.next, s.idle = nil, nil, false
 }
 
-func (p *PagePool) lruPush(s *pagedSlot) {
-	s.prev, s.next, s.inLRU = p.lruTail, nil, true
-	if p.lruTail != nil {
-		p.lruTail.next = s
+func (p *PagePool) idlePush(s *pagedSlot) {
+	s.prev, s.next, s.idle = p.idleTail, nil, true
+	if p.idleTail != nil {
+		p.idleTail.next = s
 	} else {
-		p.lruHead = s
+		p.idleHead = s
 	}
-	p.lruTail = s
+	p.idleTail = s
+}
+
+// reuseDistanceLocked predicts how many acquires away a slot's next acquire
+// is: the larger of its last gap between acquires and the acquires since
+// its last one. A slot acquired only once has no gap yet and ranks
+// infinite.
+func (p *PagePool) reuseDistanceLocked(s *pagedSlot) uint64 {
+	if s.prevUse == 0 {
+		return math.MaxUint64
+	}
+	return max(s.lastUse-s.prevUse, p.tick-s.lastUse)
+}
+
+// victimLocked returns the idle slot predicted to be needed last, nil when
+// none is idle. Ties go to the most recently loaded slot, so a cycle wider
+// than the budget evicts its newest arrivals and keeps a stable part of
+// itself resident; a full tie keeps idle-list order, so the choice depends
+// only on the acquire and release order.
+func (p *PagePool) victimLocked() *pagedSlot {
+	var victim *pagedSlot
+	var far uint64
+	for s := p.idleHead; s != nil; s = s.next {
+		d := p.reuseDistanceLocked(s)
+		if victim == nil || d > far || (d == far && s.loadedAt > victim.loadedAt) {
+			victim, far = s, d
+		}
+	}
+	return victim
 }
 
 // evictLocked drops one resident, unpinned slot. Scans that loaded the column
 // pointer before the store keep the immutable column alive through the GC —
 // eviction is safe without waiting on them.
 func (p *PagePool) evictLocked(s *pagedSlot) {
-	p.lruRemove(s)
+	p.idleRemove(s)
 	s.colp.Store(nil)
 	p.resident -= s.bytes
 	p.evictions.Add(1)
 }
 
-// reserveLocked frees LRU victims until need bytes fit under the budget.
-// False means everything resident is pinned and the request must degrade.
+// reserveLocked evicts victims until need bytes fit under the budget. False
+// means everything resident is pinned and the request must degrade.
 func (p *PagePool) reserveLocked(need int64) bool {
 	if p.budget > 0 {
 		for p.resident+need > p.budget {
-			if p.lruHead == nil {
+			v := p.victimLocked()
+			if v == nil {
 				return false
 			}
-			p.evictLocked(p.lruHead)
+			p.evictLocked(v)
 		}
 	}
 	p.resident += need
@@ -211,11 +256,14 @@ func (p *PagePool) reserveLocked(need int64) bool {
 // channel (or their context) and re-examine the slot when it closes.
 func (p *PagePool) acquire(ctx context.Context, s *pagedSlot) error {
 	p.mu.Lock()
+	p.tick++
+	s.prevUse, s.lastUse = s.lastUse, p.tick
 	for {
 		if s.colp.Load() != nil {
 			s.pins++
-			p.lruRemove(s)
+			p.idleRemove(s)
 			p.mu.Unlock()
+			p.hits.Add(1)
 			return nil
 		}
 		if s.loading == nil {
@@ -237,6 +285,7 @@ func (p *PagePool) acquire(ctx context.Context, s *pagedSlot) error {
 		return fmt.Errorf("%w: %d bytes for column %q (budget %d, all resident pinned)",
 			ErrPageBudget, s.bytes, s.name, p.budget)
 	}
+	s.loadedAt = p.tick
 	ch := make(chan struct{})
 	s.loading = ch
 	p.mu.Unlock()
@@ -302,8 +351,8 @@ func (p *PagePool) load(ctx context.Context, s *pagedSlot) (*column, error) {
 	return s.rebuild(), nil
 }
 
-// release unpins one column; the last pin moves it to the LRU tail (or frees
-// it outright when its epoch was retired).
+// release unpins one column; the last pin moves it to the idle list (or
+// frees it outright when its epoch was retired).
 func (p *PagePool) release(s *pagedSlot) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -319,7 +368,7 @@ func (p *PagePool) release(s *pagedSlot) {
 		}
 		return
 	}
-	p.lruPush(s)
+	p.idlePush(s)
 }
 
 // retire marks an engine's slots dead and evicts the unpinned ones — the

@@ -2,12 +2,12 @@
 // materializing it: a durable store recovers lazily over the scaled corpus
 // under a resident-byte budget a quarter of the materialized column bytes,
 // and the bench records page-in (first touch, disk + decode) vs warm-hit
-// latency and the steady-state residency of a query mix cycling through the
-// budget. Before any timing the paged engine is asserted byte-identical to
-// the eagerly materialized store on the scale bench shapes plus a
-// row-order-sensitive dump (the equivalence-then-measure pattern of the other
-// benches), and the PAGEDSTAT line feeds the CI bench artifact
-// BENCH_paging.json.
+// latency, the steady-state residency of a query mix cycling through the
+// budget, and that mix's fetches and hit ratio (reported, not gated). Before
+// any timing the paged engine is asserted byte-identical to the eagerly
+// materialized store on the scale bench shapes plus a row-order-sensitive
+// dump (the equivalence-then-measure pattern of the other benches), and the
+// PAGEDSTAT line feeds the CI bench artifact BENCH_paging.json.
 package marketscope_test
 
 import (
@@ -131,6 +131,7 @@ func BenchmarkPagedServe(b *testing.B) {
 
 	// Steady state: cycle the whole probe mix through the budget and require
 	// residency under the budget after every request.
+	steady0 := paged.PageStats()
 	var residentPeak int64
 	for round := 0; round < 3; round++ {
 		for _, probe := range probes {
@@ -147,12 +148,17 @@ func BenchmarkPagedServe(b *testing.B) {
 		}
 	}
 	st := paged.PageStats()
+	steadyFetches, steadyHits := st.Fetches-steady0.Fetches, st.Hits-steady0.Hits
+	steadyHitRatio := 0.0
+	if steadyFetches+steadyHits > 0 {
+		steadyHitRatio = float64(steadyHits) / float64(steadyFetches+steadyHits)
+	}
 	printOnce("paged", fmt.Sprintf(
-		"PAGEDSTAT rows=%d total_col_bytes=%d budget=%d budget_ratio=%.2f page_in_us=%.1f warm_us=%.1f warm_speedup=%.1f resident_peak=%d fetches=%d evictions=%d quarantines=%d identical=1",
+		"PAGEDSTAT rows=%d total_col_bytes=%d budget=%d budget_ratio=%.2f page_in_us=%.1f warm_us=%.1f warm_speedup=%.1f resident_peak=%d fetches=%d evictions=%d quarantines=%d steady_fetches=%d steady_hit_ratio=%.3f identical=1",
 		rows, totalBytes, budget, float64(budget)/float64(totalBytes),
 		float64(pageIn.Nanoseconds())/1000, float64(warm.Nanoseconds())/1000,
 		float64(pageIn)/float64(warm),
-		residentPeak, st.Fetches, st.Evictions, st.Quarantines))
+		residentPeak, st.Fetches, st.Evictions, st.Quarantines, steadyFetches, steadyHitRatio))
 	if st.Quarantines != 0 {
 		b.Fatalf("healthy snapshot quarantined during bench: %+v", st)
 	}
