@@ -75,19 +75,23 @@ type decoder struct {
 	// it, so a section with a million strings costs zero allocations instead
 	// of a million — at the price of pinning the whole input buffer for as
 	// long as any decoded string lives. The view aliases buf without copying,
-	// which is sound because nothing writes to a buffer strings were decoded
-	// from; see stringView.
+	// which is sound because nothing writes to a buffer while a string decoded
+	// from it is still read; see stringView.
 	sview string
 	off   int
 	err   error
 }
 
-// stringView returns b's bytes as a string without copying. Callers own b and
-// never mutate it after decoding starts — the durable read path allocates a
-// fresh buffer per file read, and the one buffer it reuses, a page fetch's,
-// goes back to its pool only when no string was decoded from it — so the
-// aliasing is invisible. Copying instead (string(b)) would memmove tens of
-// megabytes per snapshot load just to satisfy the string type.
+// stringView returns b's bytes as a string without copying. Nothing writes
+// to b while a string decoded from it is still read, so the aliasing is
+// invisible: the durable read path allocates a fresh buffer per file read,
+// except a page fetch, which reads into a buffer the page pool lends. A plain
+// string column decoded from that buffer keeps it lent for as long as the
+// column is resident, only requests that pin the column read those strings,
+// and the engine copies each one it emits (query's column.value and
+// column.typed), so none outlives the buffer's reuse by a later fetch.
+// Copying instead (string(b)) would memmove tens of megabytes per snapshot
+// load just to satisfy the string type.
 func stringView(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }

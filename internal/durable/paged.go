@@ -8,7 +8,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sync"
 	"time"
 
 	"marketscope/internal/appmeta"
@@ -266,28 +265,30 @@ func decodePageInto(cd *query.ColumnData, layout uint8, lo, hi int, payload []by
 	return nil
 }
 
-// newColumnData clones the resident metadata and allocates empty value
-// planes for the page decoder to fill. The metadata slices (null bitmap,
+// newColumnData clones the resident metadata and takes the value planes for
+// the page decoder to fill from mem: memory a page pool lends, or fresh
+// zeroed slices when mem is nil. The decoder writes every row, so a lent
+// plane's old contents never show. The metadata slices (null bitmap,
 // dictionary, zones, postings) are shared, not copied — they are immutable.
-func (m *pagedColumn) newColumnData() query.ColumnData {
+func (m *pagedColumn) newColumnData(mem *query.PageMemory) query.ColumnData {
 	cd := m.meta
 	n := m.rows
 	switch cd.Kind {
 	case query.KindInt:
-		cd.Ints = make([]int64, n)
+		cd.Ints = mem.Int64s(n)
 	case query.KindFloat:
-		cd.Floats = make([]float64, n)
+		cd.Floats = mem.Float64s(n)
 	case query.KindBool:
-		cd.Bools = make([]bool, n)
+		cd.Bools = mem.Bools(n)
 	case query.KindTime:
-		cd.TimeSec = make([]int64, n)
-		cd.TimeNsec = make([]int32, n)
-		cd.TimeOff = make([]int32, n)
+		cd.TimeSec = mem.Int64s(n)
+		cd.TimeNsec = mem.Int32s(n)
+		cd.TimeOff = mem.Int32s(n)
 	case query.KindString:
 		if m.layout == strLayoutDict {
-			cd.Codes = make([]uint32, n)
+			cd.Codes = mem.Uint32s(n)
 		} else {
-			cd.Strs = make([]string, n)
+			cd.Strs = mem.Strings(n)
 		}
 	}
 	return cd
@@ -484,7 +485,7 @@ func assembleColumnsEager(metas []pagedColumn, pages []byte) ([]query.ColumnData
 	cols := make([]query.ColumnData, 0, len(metas))
 	for i := range metas {
 		m := &metas[i]
-		cd := m.newColumnData()
+		cd := m.newColumnData(nil)
 		lo := 0
 		for _, pg := range m.pages {
 			payload, err := verifyPageFrame(pages[pg.off:pg.off+8+uint64(pg.length)], pg.length)
@@ -685,8 +686,10 @@ func openSnapshotLazy(fsys FS, path string) (*lazySnapshot, error) {
 // each fetch opens the file read-only, reads the column's page frames with
 // one positioned read over their span, verifies every frame's length echo and
 // checksum and decodes the planes into a ColumnData sharing the resident
-// metadata. Safe for concurrent use — every fetch owns its handle, and a read
-// buffer is one fetch's alone until it goes back to pageBufs.
+// metadata. The read buffer and the planes are the memory the page pool
+// lends the fetch (query.LentPageMemory); a plain string column's values
+// alias the buffer. Safe for concurrent use — every fetch owns its handle
+// and its loan.
 type snapshotFetcher struct {
 	fsys     FS
 	path     string
@@ -694,11 +697,6 @@ type snapshotFetcher struct {
 	order    []string
 	byName   map[string]*pagedColumn
 }
-
-// pageBufs recycles the read buffers of column fetches. A fetch returns its
-// buffer once the planes are decoded, except for a plain string column,
-// whose strings alias the buffer for as long as the column lives.
-var pageBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 func (sf *snapshotFetcher) Columns() []string {
 	return append([]string(nil), sf.order...)
@@ -723,7 +721,8 @@ func (sf *snapshotFetcher) FetchColumn(ctx context.Context, name string) (*query
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	cd := m.newColumnData()
+	mem := query.LentPageMemory(ctx)
+	cd := m.newColumnData(mem)
 	if len(m.pages) == 0 {
 		return &cd, nil
 	}
@@ -737,16 +736,7 @@ func (sf *snapshotFetcher) FetchColumn(ctx context.Context, name string) (*query
 	// (decodeColMetaSection), so one read covers them all.
 	start := m.pages[0].off
 	last := m.pages[len(m.pages)-1]
-	bp := pageBufs.Get().(*[]byte)
-	if span := int(last.off + 8 + uint64(last.length) - start); cap(*bp) < span {
-		*bp = make([]byte, span)
-	} else {
-		*bp = (*bp)[:span]
-	}
-	buf := *bp
-	if cd.Kind != query.KindString || m.layout != strLayoutPlain {
-		defer pageBufs.Put(bp)
-	}
+	buf := mem.Buffer(int(last.off + 8 + uint64(last.length) - start))
 	if _, err := f.ReadAt(buf, sf.pagesOff+int64(start)); err != nil {
 		return nil, fmt.Errorf("durable: read column %q pages at %d: %w", name, start, err)
 	}

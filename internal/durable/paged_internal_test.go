@@ -15,6 +15,8 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -269,9 +271,10 @@ func TestLazyFetchDetectsPageCorruption(t *testing.T) {
 }
 
 // TestPagedFetchBufferReuse fetches from one fetcher on several goroutines
-// at once, so read buffers pass between fetches through the pool: every
-// fetch must equal the original, and a plain string column fetched first
-// must keep its values while later fetches reuse buffers.
+// at once, outside any page pool, so every fetch allocates its own planes
+// and read buffer: every fetch must equal the original, and a plain string
+// column fetched first must keep its values while later fetches run. Reuse
+// of lent memory is TestPagedResultsSurviveRecycling's subject.
 func TestPagedFetchBufferReuse(t *testing.T) {
 	withPageRows(t, 2)
 	want := multiPageSnapshotData()
@@ -518,5 +521,114 @@ func TestWALFutureVersionRefused(t *testing.T) {
 	}
 	if len(after) != len(blob) {
 		t.Fatalf("refused WAL changed size: %d -> %d", len(blob), len(after))
+	}
+}
+
+// pagedRow is the row type of TestPagedSteadyStateAllocation: one field of
+// every kind and string layout a page holds.
+type pagedRow struct {
+	n    int64
+	x    float64
+	ok   bool
+	at   time.Time
+	kind string // dictionary-encoded
+	name string // plain
+}
+
+func pagedRowRegistry() *query.Registry[pagedRow] {
+	reg := query.NewRegistry[pagedRow]()
+	for _, f := range []query.Field[pagedRow]{
+		{Name: "n", Kind: query.KindInt, Extract: func(r pagedRow) (any, bool) { return r.n, true }},
+		{Name: "x", Kind: query.KindFloat, Extract: func(r pagedRow) (any, bool) { return r.x, true }},
+		{Name: "ok", Kind: query.KindBool, Extract: func(r pagedRow) (any, bool) { return r.ok, true }},
+		{Name: "at", Kind: query.KindTime, Extract: func(r pagedRow) (any, bool) { return r.at, true }},
+		{Name: "kind", Kind: query.KindString, Dictionary: true, Extract: func(r pagedRow) (any, bool) { return r.kind, true }},
+		{Name: "name", Kind: query.KindString, Extract: func(r pagedRow) (any, bool) { return r.name, true }},
+	} {
+		reg.MustRegister(f)
+	}
+	return reg
+}
+
+// TestPagedSteadyStateAllocation pages six columns, one of every kind and
+// string layout, in turn through the snapshot fetcher under a budget that
+// holds only the largest, so no column stays resident until its next turn:
+// every request fetches, and each round evicts as many columns as it
+// fetches. Once the pool's free lists hold evicted memory, a fetch must
+// decode into it: the bytes allocated per fetch stay below a quarter of the
+// bytes fetched. Allocating the planes and read buffer afresh costs at
+// least the fetched bytes. The GC is off while measuring, so that it does
+// not empty the free lists (sync.Pools) mid-run.
+func TestPagedSteadyStateAllocation(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops a random quarter of what is put back")
+	}
+	const n = 1 << 14
+	rows := make([]pagedRow, n)
+	base := time.Date(2018, 6, 1, 0, 0, 0, 0, time.UTC)
+	for i := range rows {
+		rows[i] = pagedRow{
+			n: int64(i * 7), x: float64(i) / 3, ok: i%3 == 0,
+			at:   base.Add(time.Duration(i) * time.Minute),
+			kind: fmt.Sprintf("k%d", i%40), name: fmt.Sprintf("app %d", i),
+		}
+	}
+	reg := pagedRowRegistry()
+	data := &snapshotData{cursor: 1, columns: query.NewEngine(reg, rows).ExportColumns()}
+	path, err := writeSnapshot(OSFS, t.TempDir(), data)
+	if err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	lz, err := openSnapshotLazy(OSFS, path)
+	if err != nil {
+		t.Fatalf("lazy open: %v", err)
+	}
+	names := lz.fetcher.Columns()
+	var largest int64
+	for _, name := range names {
+		largest = max(largest, lz.fetcher.ColumnBytes(name))
+	}
+	pool := query.NewPagePool(largest, 0, time.Millisecond)
+	e, err := query.NewEnginePaged(reg, rows, lz.fetcher, pool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each request pins one column and no row survives its zone maps (no
+	// value is null), so what it allocates besides the fetch is small and
+	// fixed.
+	round := func() (charged int64) {
+		for _, name := range names {
+			q := query.Query{Fields: []string{name}, Filters: []query.Filter{{Field: name, Op: query.OpIsNull, Value: true}}}
+			if _, err := e.Scan(q); err != nil {
+				t.Fatalf("scan %s: %v", name, err)
+			}
+			charged += lz.fetcher.ColumnBytes(name)
+		}
+		return charged
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	for i := 0; i < 3; i++ {
+		round()
+	}
+	const rounds = 20
+	before, fetched := pool.Stats(), int64(0)
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for i := 0; i < rounds; i++ {
+		fetched += round()
+	}
+	runtime.ReadMemStats(&ms1)
+	after := pool.Stats()
+	fetches := after.Fetches - before.Fetches
+	if fetches != rounds*int64(len(names)) || after.Evictions-before.Evictions != fetches {
+		t.Fatalf("%d fetches and %d evictions over %d requests: every request should fetch, and evict as much",
+			fetches, after.Evictions-before.Evictions, rounds*len(names))
+	}
+	perFetch := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(fetches)
+	perFetchBytes := float64(fetched) / float64(fetches)
+	t.Logf("%.0f bytes allocated per fetch of %.0f column bytes (%.3f)", perFetch, perFetchBytes, perFetch/perFetchBytes)
+	if perFetch >= perFetchBytes/4 {
+		t.Fatalf("%.0f bytes allocated per fetch of %.0f column bytes: page-ins do not reuse evicted memory",
+			perFetch, perFetchBytes)
 	}
 }

@@ -15,7 +15,9 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"marketscope/internal/durable"
 	"marketscope/internal/durable/errfs"
@@ -207,15 +209,11 @@ func TestPagedServeMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestPagedBudgetPressure hammers a budget sized to the single largest
-// working set with concurrent workers: every answer is byte-identical or a
-// clean ErrPageBudget degradation — never a wrong answer, never residency
-// over budget — and a serial pass afterwards serves everything again.
-func TestPagedBudgetPressure(t *testing.T) {
-	fs := buildPagedState(t)
-	ds, _ := deltas(t)
-	reqs, want := pagedMix(t, uint64(len(ds)))
-
+// maxWorkingSet is the largest column set one request of reqs pins: each
+// runs on a fresh unbounded store over fs, whose residency afterwards is
+// exactly what the request pinned.
+func maxWorkingSet(t *testing.T, fs *errfs.MemFS, reqs []pagedRequest) int64 {
+	t.Helper()
 	var maxSet int64
 	for _, r := range reqs {
 		sm := openStore(t, pagedOpts(t, fs, -1))
@@ -227,6 +225,18 @@ func TestPagedBudgetPressure(t *testing.T) {
 		}
 		sm.Close()
 	}
+	return maxSet
+}
+
+// TestPagedBudgetPressure hammers a budget sized to the single largest
+// working set with concurrent workers: every answer is byte-identical or a
+// clean ErrPageBudget degradation — never a wrong answer, never residency
+// over budget — and a serial pass afterwards serves everything again.
+func TestPagedBudgetPressure(t *testing.T) {
+	fs := buildPagedState(t)
+	ds, _ := deltas(t)
+	reqs, want := pagedMix(t, uint64(len(ds)))
+	maxSet := maxWorkingSet(t, fs, reqs)
 
 	s := openStore(t, pagedOpts(t, fs, maxSet))
 	defer s.Close()
@@ -295,6 +305,195 @@ func TestPagedBudgetPressure(t *testing.T) {
 	if bs := s.PageStats(); bs.Evictions == 0 {
 		t.Fatalf("tight budget never evicted: %+v", bs)
 	}
+}
+
+// hammer runs the mix on src from workers goroutines until the returned
+// stop is called (at the latest by the test's cleanup), which waits for them
+// to exit; rounds counts the mix rounds they finish. Every answer must equal
+// want, or degrade with ErrPageBudget when the workers' working sets do not
+// fit the budget together.
+func hammer(t *testing.T, src query.Source, reqs []pagedRequest, want map[string][]byte,
+	workers int, rounds *atomic.Int64) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				for _, r := range reqs {
+					res, err := r.run(src)
+					switch {
+					case err == nil:
+						if got := canonicalBytes(res); !bytes.Equal(got, want[r.name]) {
+							t.Errorf("%s under eviction diverged:\n got %.300s\nwant %.300s", r.name, got, want[r.name])
+							return
+						}
+					case !errors.Is(err, query.ErrPageBudget):
+						t.Errorf("%s under eviction: %v", r.name, err)
+						return
+					}
+				}
+				rounds.Add(1)
+				select {
+				case <-done:
+					return
+				default:
+				}
+			}
+		}()
+	}
+	var once sync.Once
+	stop = func() { once.Do(func() { close(done); wg.Wait() }) }
+	t.Cleanup(stop)
+	return stop
+}
+
+// waitRounds blocks until rounds reaches n, failing the test if the workers
+// stopped short of it.
+func waitRounds(t *testing.T, rounds *atomic.Int64, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(time.Minute)
+	for rounds.Load() < n {
+		if t.Failed() || time.Now().After(deadline) {
+			t.Fatalf("workers finished %d of %d rounds", rounds.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestPagedResultsSurviveRecycling keeps every result a concurrent mix
+// returns under the tightest budget that serves each request, and compares
+// them with the oracle only after the last round: by then the memory of the
+// columns the early results were read from has gone back to the free lists
+// and been fetched into again. A result that aliased it (a plain string
+// cell pointing into a read buffer) would no longer match. How many
+// requests evict depends on how the workers interleave (between 43% and
+// all of the served ones over 18 runs); at least a quarter must.
+func TestPagedResultsSurviveRecycling(t *testing.T) {
+	fs := buildPagedState(t)
+	ds, _ := deltas(t)
+	reqs, want := pagedMix(t, uint64(len(ds)))
+	s := openStore(t, pagedOpts(t, fs, maxWorkingSet(t, fs, reqs)))
+	defer s.Close()
+	src := sourceOf(s)
+
+	type kept struct {
+		name string
+		res  *query.Result
+	}
+	const workers, rounds = 4, 6
+	results := make([][]kept, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for i := range reqs {
+					r := reqs[(i+w)%len(reqs)]
+					res, err := r.run(src)
+					switch {
+					case err == nil:
+						results[w] = append(results[w], kept{r.name, res})
+					case !errors.Is(err, query.ErrPageBudget):
+						t.Errorf("%s: %v", r.name, err)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	served := 0
+	for _, rs := range results {
+		for _, k := range rs {
+			served++
+			if got := canonicalBytes(k.res); !bytes.Equal(got, want[k.name]) {
+				t.Fatalf("kept %s changed after its columns' memory was reused:\n got %.300s\nwant %.300s",
+					k.name, got, want[k.name])
+			}
+		}
+	}
+	st := s.PageStats()
+	t.Logf("%d of %d requests served, %+v", served, workers*rounds*len(reqs), st)
+	if st.Evictions < int64(served)/4 {
+		t.Fatalf("%d evictions over %d served requests: the budget did not force reuse", st.Evictions, served)
+	}
+}
+
+// TestPagedSnapshotUnderEviction writes snapshots of a paged store while a
+// concurrent mix keeps evicting and fetching columns. Export holds no pins,
+// so it must not read the pool's columns, whose memory an eviction hands to
+// the next fetch: the new generation must reopen, eager and paged, to the
+// oracle's state.
+func TestPagedSnapshotUnderEviction(t *testing.T) {
+	fs := buildPagedState(t)
+	ds, _ := deltas(t)
+	full := uint64(len(ds))
+	reqs, want := pagedMix(t, full)
+	s := openStore(t, pagedOpts(t, fs, maxWorkingSet(t, fs, reqs)))
+	var rounds atomic.Int64
+	stop := hammer(t, sourceOf(s), reqs, want, 4, &rounds)
+	before := s.PageStats()
+	for i := int64(1); i <= 8; i++ {
+		waitRounds(t, &rounds, i)
+		if err := s.WriteSnapshot(); err != nil {
+			t.Fatalf("snapshot %d: %v", i, err)
+		}
+	}
+	stop()
+	if st := s.PageStats(); st.Evictions == before.Evictions {
+		t.Fatalf("nothing evicted while the snapshots were written: %+v", st)
+	}
+	s.Close()
+
+	for _, budget := range []int64{0, -1} {
+		s2 := openStore(t, pagedOpts(t, fs, budget))
+		m := s2.Metrics()
+		if q, r := m.SnapshotCorruptQuarantined.Load(), m.WALRecordsReplayed.Load(); q != 0 || r != 0 {
+			t.Fatalf("budget %d: reopen quarantined %d snapshots and replayed %d WAL records", budget, q, r)
+		}
+		requireSameState(t, sourceOf(s2), oracleSource(t, full))
+		s2.Close()
+	}
+}
+
+// TestPagedDeltaUnderEviction applies a row-adding delta over a paged engine
+// while a concurrent mix keeps evicting and fetching its columns, and keeps
+// that mix running on the retired engine afterwards, so its fetches decode
+// into the memory the retirement freed. The append holds no pins, so it must
+// not carry the pool's columns into the new epoch: the new engine must
+// answer like a cold build.
+func TestPagedDeltaUnderEviction(t *testing.T) {
+	ds, crawlTime := deltas(t)
+	fs := errfs.New()
+	s := openStore(t, storeOpts(fs, crawlTime))
+	applyAll(t, s, ds[:len(ds)-1])
+	if err := s.WriteSnapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	s.Close()
+
+	reqs, want := pagedMix(t, uint64(len(ds)-1))
+	s2 := openStore(t, pagedOpts(t, fs, maxWorkingSet(t, fs, reqs)))
+	defer s2.Close()
+	old := sourceOf(s2)
+	var rounds atomic.Int64
+	stop := hammer(t, old, reqs, want, 4, &rounds)
+	waitRounds(t, &rounds, 2)
+	if res, err := s2.Apply(ds[len(ds)-1]); err != nil || !res.Applied {
+		t.Fatalf("apply over paged engine: %+v %v", res, err)
+	}
+	if sourceOf(s2) == old {
+		t.Fatal("the delta swapped no engine")
+	}
+	waitRounds(t, &rounds, rounds.Load()+12)
+	stop()
+	requireSameState(t, sourceOf(s2), oracleSource(t, uint64(len(ds))))
 }
 
 // servingFailpoints replays the serving workload over an unarmed injector and

@@ -23,7 +23,10 @@ import (
 // For every field whose sorted index base has built, only the added rows are
 // sorted and merged into base's permutation. Columns and indexes base never
 // touched stay lazy on the new engine, exactly as on a cold build, and hash
-// indexes always rebuild lazily.
+// indexes always rebuild lazily. So do a paged base's paged columns, even
+// resident ones: the build holds no pin, an eviction could hand a resident
+// column's memory to another fetch mid-copy, and a plain string column's
+// values alias a read buffer its pool lent.
 //
 // Contract: reg must be shape-compatible with base's registry (same field
 // names and kinds, in order; validated here) and every base row must extract
@@ -62,6 +65,9 @@ func NewEngineAppend[T any](reg *Registry[T], base *Engine[T], added []T) (*Engi
 	e.lastSel.Store(base.lastSel.Load())
 	oldN := len(base.items)
 	for ord := range base.cols {
+		if base.pager != nil && base.pager.slots[ord] != nil {
+			continue
+		}
 		// Load the sorted index first: one built implies its column built.
 		six := base.sortedIdx[ord].ix.Load()
 		old := base.cols[ord].col.Load()
@@ -104,7 +110,8 @@ func compatibleRegistries[T any](next, base *Registry[T]) error {
 // the first oldN items: old values are copied, the added rows are extracted
 // as a column of their own and appended, and the compressed layout is
 // carried forward (see NewEngineAppend). The result is identical to
-// buildColumn over all items.
+// buildColumn over all items. old is never a paged column: the string
+// headers copied here would alias a buffer its pool lends out again.
 func extendColumn[T any](f Field[T], old *column, items []T, oldN int, compressed bool) *column {
 	n := len(items)
 	tail := buildColumn(f, items[oldN:], false)

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -71,6 +72,11 @@ type column struct {
 	floats []float64
 	strs   []string
 	bools  []bool
+
+	// lentStrs marks a plain string column whose strs alias a read buffer a
+	// PagePool lent: the buffer goes to another fetch once the column is
+	// evicted, so value and typed copy every string they emit.
+	lentStrs bool
 
 	// Times are planar, the layout ColumnData and snapshot pages use: the
 	// instant as Unix seconds plus nanoseconds, which is all a comparison,
@@ -285,6 +291,8 @@ func compareTime(sec int64, nsec int32, sec2 int64, nsec2 int32) int {
 // value boxes the row's value in its JSON-facing representation (time as
 // RFC 3339, mirroring emitValue), nil when null. Used by row
 // materialization so output cells match the oracle's extract+emitValue.
+// With typed, it is the only way a plain string leaves the engine, so both
+// copy the strings of a lentStrs column.
 func (c *column) value(i int) any {
 	if c.nulls.get(i) {
 		return nil
@@ -295,6 +303,9 @@ func (c *column) value(i int) any {
 	case KindFloat:
 		return c.floats[i]
 	case KindString:
+		if c.lentStrs {
+			return strings.Clone(c.strs[i])
+		}
 		return c.str(i)
 	case KindBool:
 		return c.bools[i]
@@ -318,6 +329,9 @@ func (c *column) typed(i int) any {
 	case KindFloat:
 		return c.floats[i]
 	case KindString:
+		if c.lentStrs {
+			return strings.Clone(c.strs[i])
+		}
 		return c.str(i)
 	case KindBool:
 		return c.bools[i]
@@ -391,15 +405,12 @@ func cmpBool(x, y bool) int {
 
 // columnFor materializes (at most once, concurrently safe) the typed column
 // of the field at registration ordinal ord. On a paged engine a paged ordinal
-// returns the resident column the request pinned; unpinned access (admin
-// paths) gets a transient build from items that is never installed, so the
-// budget accounting stays exact.
+// returns the resident column the calling request pinned (pinOrds): the pool
+// recycles an evicted column's memory, so a paged column is read only under
+// a pin, and a reader that holds none builds its own (transientColumn).
 func (e *Engine[T]) columnFor(ord int) *column {
 	if p := e.pager; p != nil && p.slots[ord] != nil {
-		if c := e.cols[ord].col.Load(); c != nil {
-			return c
-		}
-		return p.transientColumn(e, ord)
+		return e.cols[ord].col.Load()
 	}
 	slot := &e.cols[ord]
 	slot.once.Do(func() {

@@ -73,12 +73,20 @@ type ColumnData struct {
 
 // ExportColumns materializes every registered field's column (through the
 // same lazy cache scans use) and returns the exported forms in registration
-// order. The engine may be serving concurrent scans throughout.
+// order. The engine may be serving concurrent scans throughout. On a paged
+// engine it holds no pin, so each paged column (and its postings) is built
+// from items instead of read from the page pool.
 func (e *Engine[T]) ExportColumns() []ColumnData {
 	out := make([]ColumnData, 0, len(e.reg.order))
 	for ord, name := range e.reg.order {
 		f := e.reg.byName[name]
-		c := e.columnFor(ord)
+		paged := e.pager != nil && e.pager.slots[ord] != nil
+		var c *column
+		if paged {
+			c = e.pager.transientColumn(e, ord)
+		} else {
+			c = e.columnFor(ord)
+		}
 		cd := ColumnData{
 			Name:      name,
 			Kind:      c.kind,
@@ -105,7 +113,13 @@ func (e *Engine[T]) ExportColumns() []ColumnData {
 		cd.SegmentRows = segmentSize
 		cd.Zones = exportZones(c.zones)
 		if c.dict != nil && f.Indexable {
-			if ix := e.hashFor(ord); ix.dictBMs != nil {
+			var ix *hashIndex
+			if paged {
+				ix = buildHashIndex(c)
+			} else {
+				ix = e.hashFor(ord)
+			}
+			if ix.dictBMs != nil {
 				cd.Postings = make([][]int32, len(ix.dictBMs))
 				for k, bm := range ix.dictBMs {
 					cd.Postings[k] = bm.rows()

@@ -24,6 +24,16 @@ import (
 // before it is needed again, and a column acquired only once cannot flush
 // columns in re-use.
 //
+// The pool owns every fetched column's memory, as a DBMS buffer pool owns
+// its frames (Effelsberg & Härder, TODS 1984): a fetch decodes into value
+// planes and a read buffer lent from the pool's typed free lists
+// (PageMemory), and an evicted or retired column's memory goes back to them
+// for the next fetch instead of to the GC. That is safe because nothing
+// reads a paged column without a pin — requests pin through pinOrds, and
+// ExportColumns and NewEngineAppend never read a paged column — and because
+// no plain string leaves the engine aliasing a lent buffer: value and typed
+// copy the strings of such a column as they emit them.
+//
 // Every fetch is fallible, and the failure ladder is explicit:
 //
 //  1. Transient read errors retry with bounded backoff (ErrPageUnavailable
@@ -76,7 +86,156 @@ type ColumnFetcher interface {
 	// FetchColumn reads, checksum-verifies and decodes one column. A checksum
 	// mismatch must return an error wrapping ErrPageCorrupt; any other error
 	// is treated as transient and retried. A cancelled ctx aborts the fetch.
+	//
+	// A pool load lends the memory to decode into through ctx
+	// (LentPageMemory). A fetcher that takes its value planes and read
+	// buffer from there keeps no reference to any of it, because the pool
+	// hands the memory to another fetch once the column is evicted, or at
+	// once when the fetch fails; only a plain string plane may alias the
+	// read buffer, which the pool takes back after any other fetch. Planes
+	// the fetcher returns from elsewhere are never recycled.
 	FetchColumn(ctx context.Context, name string) (*ColumnData, error)
+}
+
+// PageMemory is the memory one column fetch decodes into, lent by the
+// PagePool that runs the fetch: value planes and read buffers from the
+// pool's typed free lists. The pool keeps the loan on the column's slot
+// while the column is resident and takes it back when the column is evicted
+// or retired, so a paged workload in steady state decodes into the memory of
+// the columns it evicted instead of allocating. A lent slice's contents are
+// unspecified: the fetcher writes every element. The methods of a nil
+// *PageMemory allocate zeroed slices, so a fetch made outside a pool load
+// works unchanged.
+type PageMemory struct {
+	free   *pageFreeLists
+	planes []lentSlice
+	bufs   []lentSlice
+}
+
+// pageFreeLists holds recycled page-in memory, one sync.Pool of *[]V boxes
+// per element type. A sync.Pool drops what stays unused across two GCs, so
+// the lists hold no more than recent evictions freed.
+type pageFreeLists struct {
+	int64s, int32s, float64s, uint32s, bools, strs, bytes sync.Pool
+}
+
+// lentSlice is one lent *[]V box and the free list it goes back to.
+type lentSlice struct {
+	box  any
+	free *sync.Pool
+}
+
+type pageMemoryKey struct{}
+
+// LentPageMemory returns the memory a PagePool lends the fetch running under
+// ctx, nil outside a pool load. The loan travels in the context so that
+// FetchColumn keeps its signature: a fetcher that never asks for it, such as
+// a test fake serving columns it already holds, still works, and the pool
+// recycles only what it lent.
+func LentPageMemory(ctx context.Context) *PageMemory {
+	m, _ := ctx.Value(pageMemoryKey{}).(*PageMemory)
+	return m
+}
+
+// lend takes an n-element slice from free (a fresh one when the list is
+// empty or its slice is too short) and records it on list.
+func lend[V any](free *sync.Pool, list *[]lentSlice, n int) []V {
+	p, _ := free.Get().(*[]V)
+	if p == nil || cap(*p) < n {
+		s := make([]V, n)
+		p = &s
+	}
+	*p = (*p)[:n]
+	*list = append(*list, lentSlice{box: p, free: free})
+	return *p
+}
+
+// Int64s lends an n-row int64 plane (ints, time seconds).
+func (m *PageMemory) Int64s(n int) []int64 {
+	if m == nil {
+		return make([]int64, n)
+	}
+	return lend[int64](&m.free.int64s, &m.planes, n)
+}
+
+// Int32s lends an n-row int32 plane (time nanoseconds and offsets).
+func (m *PageMemory) Int32s(n int) []int32 {
+	if m == nil {
+		return make([]int32, n)
+	}
+	return lend[int32](&m.free.int32s, &m.planes, n)
+}
+
+// Float64s lends an n-row float64 plane.
+func (m *PageMemory) Float64s(n int) []float64 {
+	if m == nil {
+		return make([]float64, n)
+	}
+	return lend[float64](&m.free.float64s, &m.planes, n)
+}
+
+// Uint32s lends an n-row uint32 plane (dictionary codes).
+func (m *PageMemory) Uint32s(n int) []uint32 {
+	if m == nil {
+		return make([]uint32, n)
+	}
+	return lend[uint32](&m.free.uint32s, &m.planes, n)
+}
+
+// Bools lends an n-row bool plane.
+func (m *PageMemory) Bools(n int) []bool {
+	if m == nil {
+		return make([]bool, n)
+	}
+	return lend[bool](&m.free.bools, &m.planes, n)
+}
+
+// Strings lends an n-row string plane.
+func (m *PageMemory) Strings(n int) []string {
+	if m == nil {
+		return make([]string, n)
+	}
+	return lend[string](&m.free.strs, &m.planes, n)
+}
+
+// Buffer lends an n-byte read buffer. It stays lent with the column only
+// when the column's strings alias it (a plain string column); after any
+// other fetch it goes back as soon as the fetch returns.
+func (m *PageMemory) Buffer(n int) []byte {
+	if m == nil {
+		return make([]byte, n)
+	}
+	return lend[byte](&m.free.bytes, &m.bufs, n)
+}
+
+func giveBack(list []lentSlice) {
+	for _, l := range list {
+		l.free.Put(l.box)
+	}
+}
+
+// settle runs once a fetch has returned c: a plain string column's values
+// alias the read buffers, so they stay lent with it and its emitted strings
+// are copied (column.lentStrs); any other column is done with them, and
+// they go back now.
+func (m *PageMemory) settle(c *column) {
+	if c.kind == KindString && c.dict == nil && len(m.bufs) > 0 {
+		c.lentStrs = true
+		return
+	}
+	giveBack(m.bufs)
+	m.bufs = nil
+}
+
+// recycle returns everything still lent to the free lists. Nil-safe: a
+// rebuilt (quarantined) column borrowed nothing.
+func (m *PageMemory) recycle() {
+	if m == nil {
+		return
+	}
+	giveBack(m.planes)
+	giveBack(m.bufs)
+	m.planes, m.bufs = nil, nil
 }
 
 // PageStats is a point-in-time snapshot of a pool's counters, feeding the
@@ -109,6 +268,9 @@ type PagePool struct {
 	// Idle list of resident, unpinned slots in release order: the eviction
 	// candidates.
 	idleHead, idleTail *pagedSlot
+
+	// free holds the memory of evicted columns for the next fetches.
+	free pageFreeLists
 
 	fetches     atomic.Int64
 	hits        atomic.Int64
@@ -148,13 +310,15 @@ func (p *PagePool) Stats() PageStats {
 
 // pagedSlot is one column's residency state. colp aliases the engine's atomic
 // column slot: non-nil exactly while the slot is resident (charged against
-// the budget). Everything else is guarded by the pool's mu, except
+// the budget), and mem is then the memory its fetch borrowed (nil for a
+// rebuilt column). Everything else is guarded by the pool's mu, except
 // quarantined, which only the slot's unique loader (serialized by loading)
 // touches.
 type pagedSlot struct {
 	name    string
 	bytes   int64
 	colp    *atomic.Pointer[column]
+	mem     *PageMemory
 	fetch   func(ctx context.Context) (*column, error)
 	rebuild func() *column
 
@@ -225,12 +389,20 @@ func (p *PagePool) victimLocked() *pagedSlot {
 	return victim
 }
 
-// evictLocked drops one resident, unpinned slot. Scans that loaded the column
-// pointer before the store keep the immutable column alive through the GC —
-// eviction is safe without waiting on them.
+// evictLocked drops one resident, unpinned slot.
 func (p *PagePool) evictLocked(s *pagedSlot) {
 	p.idleRemove(s)
+	p.dropLocked(s)
+}
+
+// dropLocked ends the residency of a slot no request has pinned: the column
+// pointer clears and the memory its fetch borrowed goes back to the free
+// lists at once. No wait for readers is needed, because nothing reads a
+// paged column without a pin and no emitted value aliases its memory.
+func (p *PagePool) dropLocked(s *pagedSlot) {
 	s.colp.Store(nil)
+	s.mem.recycle()
+	s.mem = nil
 	p.resident -= s.bytes
 	p.evictions.Add(1)
 }
@@ -290,7 +462,7 @@ func (p *PagePool) acquire(ctx context.Context, s *pagedSlot) error {
 	s.loading = ch
 	p.mu.Unlock()
 
-	col, err := p.load(ctx, s)
+	col, mem, err := p.load(ctx, s)
 
 	p.mu.Lock()
 	s.loading = nil
@@ -301,6 +473,7 @@ func (p *PagePool) acquire(ctx context.Context, s *pagedSlot) error {
 		return err
 	}
 	s.colp.Store(col)
+	s.mem = mem
 	s.pins++
 	p.mu.Unlock()
 	return nil
@@ -309,8 +482,10 @@ func (p *PagePool) acquire(ctx context.Context, s *pagedSlot) error {
 // load runs the fetch-failure ladder for one slot (sole loader, no lock
 // held): bounded retries with doubling backoff for transient errors, then
 // quarantine + rebuild-from-items for corruption, ErrPageUnavailable when the
-// retries are spent.
-func (p *PagePool) load(ctx context.Context, s *pagedSlot) (*column, error) {
+// retries are spent. Each attempt gets its own PageMemory through ctx; a
+// failed attempt's goes straight back, a successful one's is returned for the
+// slot to keep (nil for a rebuild).
+func (p *PagePool) load(ctx context.Context, s *pagedSlot) (*column, *PageMemory, error) {
 	if !s.quarantined {
 		p.fetches.Add(1)
 		var lastErr error
@@ -321,18 +496,21 @@ func (p *PagePool) load(ctx context.Context, s *pagedSlot) (*column, error) {
 				select {
 				case <-time.After(delay):
 				case <-ctx.Done():
-					return nil, ctx.Err()
+					return nil, nil, ctx.Err()
 				}
 				if delay < 8*p.retryDelay {
 					delay *= 2
 				}
 			}
-			col, err := s.fetch(ctx)
+			mem := &PageMemory{free: &p.free}
+			col, err := s.fetch(context.WithValue(ctx, pageMemoryKey{}, mem))
 			if err == nil {
-				return col, nil
+				mem.settle(col)
+				return col, mem, nil
 			}
+			mem.recycle()
 			if ctx.Err() != nil {
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 			if errors.Is(err, ErrPageCorrupt) {
 				p.quarantines.Add(1)
@@ -343,12 +521,12 @@ func (p *PagePool) load(ctx context.Context, s *pagedSlot) (*column, error) {
 			lastErr = err
 		}
 		if !s.quarantined {
-			return nil, fmt.Errorf("%w: column %q: %v", ErrPageUnavailable, s.name, lastErr)
+			return nil, nil, fmt.Errorf("%w: column %q: %v", ErrPageUnavailable, s.name, lastErr)
 		}
 	}
 	// Quarantined: the snapshot bytes are not trusted; rebuild the column from
 	// the resident items, which the WAL/record section vouches for.
-	return s.rebuild(), nil
+	return s.rebuild(), nil, nil
 }
 
 // release unpins one column; the last pin moves it to the idle list (or
@@ -362,9 +540,7 @@ func (p *PagePool) release(s *pagedSlot) {
 	}
 	if s.dead {
 		if s.colp.Load() != nil {
-			s.colp.Store(nil)
-			p.resident -= s.bytes
-			p.evictions.Add(1)
+			p.dropLocked(s)
 		}
 		return
 	}
@@ -528,9 +704,10 @@ func (e *Engine[T]) aggOrds(pa *preparedAgg[T]) []int {
 	return ords
 }
 
-// transientColumn serves columnFor on a paged engine when the column is not
-// resident (admin paths like ExportColumns that run unpinned): a one-off
-// build from items, never installed or charged against the budget.
+// transientColumn serves a reader that holds no pin (ExportColumns): a
+// one-off build from items, never installed or charged against the budget.
+// Such a reader must not read the resident column even when there is one:
+// an eviction could hand its memory to another fetch mid-read.
 func (p *enginePager[T]) transientColumn(e *Engine[T], ord int) *column {
 	f := e.reg.byName[e.reg.order[ord]]
 	return buildColumn(f, e.items, !e.uncompressed)

@@ -2,8 +2,10 @@
 // materializing it: a durable store recovers lazily over the scaled corpus
 // under a resident-byte budget a quarter of the materialized column bytes,
 // and the bench records page-in (first touch, disk + decode) vs warm-hit
-// latency, the steady-state residency of a query mix cycling through the
-// budget, and that mix's fetches and hit ratio (reported, not gated). Before
+// latency and the steady state of a rotation over disjoint column groups
+// whose union exceeds the budget: its residency (asserted within the
+// budget), its evictions (asserted to happen), and its fetches, hit ratio
+// and bytes allocated per fetch (reported, not gated). Before
 // any timing the paged engine is asserted byte-identical to the eagerly
 // materialized store on the scale bench shapes plus a row-order-sensitive
 // dump (the equivalence-then-measure pattern of the other benches), and the
@@ -14,6 +16,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -129,36 +132,47 @@ func BenchmarkPagedServe(b *testing.B) {
 		}
 	}
 
-	// Steady state: cycle the whole probe mix through the budget and require
-	// residency under the budget after every request.
-	steady0 := paged.PageStats()
+	// Steady state: rotate over the column groups, which together hold more
+	// than the budget, so the rounds must evict, and require residency under
+	// the budget after every request. One round first lets the pool's free
+	// lists fill with evicted memory.
+	rotation := pagedRotation()
 	var residentPeak int64
-	for round := 0; round < 3; round++ {
-		for _, probe := range probes {
-			if _, err := src.Scan(probe.q); err != nil {
-				b.Fatalf("steady-state %s: %v", probe.name, err)
+	rotate := func() {
+		for i, q := range rotation {
+			if _, err := src.Scan(q); err != nil {
+				b.Fatalf("steady-state group %d: %v", i, err)
 			}
 			st := paged.PageStats()
 			if st.ResidentBytes > st.Budget {
-				b.Fatalf("resident %d over budget %d after %s", st.ResidentBytes, st.Budget, probe.name)
+				b.Fatalf("resident %d over budget %d after group %d", st.ResidentBytes, st.Budget, i)
 			}
-			if st.ResidentBytes > residentPeak {
-				residentPeak = st.ResidentBytes
-			}
+			residentPeak = max(residentPeak, st.ResidentBytes)
 		}
 	}
+	rotate()
+	steady0 := paged.PageStats()
+	var ms0, ms1 runtime.MemStats
+	runtime.ReadMemStats(&ms0)
+	for round := 0; round < 3; round++ {
+		rotate()
+	}
+	runtime.ReadMemStats(&ms1)
 	st := paged.PageStats()
 	steadyFetches, steadyHits := st.Fetches-steady0.Fetches, st.Hits-steady0.Hits
-	steadyHitRatio := 0.0
-	if steadyFetches+steadyHits > 0 {
-		steadyHitRatio = float64(steadyHits) / float64(steadyFetches+steadyHits)
+	steadyEvictions := st.Evictions - steady0.Evictions
+	if steadyEvictions == 0 {
+		b.Fatalf("the steady rotation never evicted under budget %d: %+v", budget, st)
 	}
+	steadyHitRatio := float64(steadyHits) / float64(steadyFetches+steadyHits)
+	steadyAllocPerFetch := float64(ms1.TotalAlloc-ms0.TotalAlloc) / float64(max(steadyFetches, 1))
 	printOnce("paged", fmt.Sprintf(
-		"PAGEDSTAT rows=%d total_col_bytes=%d budget=%d budget_ratio=%.2f page_in_us=%.1f warm_us=%.1f warm_speedup=%.1f resident_peak=%d fetches=%d evictions=%d quarantines=%d steady_fetches=%d steady_hit_ratio=%.3f identical=1",
+		"PAGEDSTAT rows=%d total_col_bytes=%d budget=%d budget_ratio=%.2f page_in_us=%.1f warm_us=%.1f warm_speedup=%.1f resident_peak=%d fetches=%d evictions=%d quarantines=%d steady_fetches=%d steady_evictions=%d steady_hit_ratio=%.3f steady_alloc_bytes_per_fetch=%.0f identical=1",
 		rows, totalBytes, budget, float64(budget)/float64(totalBytes),
 		float64(pageIn.Nanoseconds())/1000, float64(warm.Nanoseconds())/1000,
 		float64(pageIn)/float64(warm),
-		residentPeak, st.Fetches, st.Evictions, st.Quarantines, steadyFetches, steadyHitRatio))
+		residentPeak, st.Fetches, st.Evictions, st.Quarantines, steadyFetches, steadyEvictions,
+		steadyHitRatio, steadyAllocPerFetch))
 	if st.Quarantines != 0 {
 		b.Fatalf("healthy snapshot quarantined during bench: %+v", st)
 	}
@@ -171,5 +185,24 @@ func BenchmarkPagedServe(b *testing.B) {
 		if _, err := src.Scan(probes[i%len(probes)].q); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// pagedRotation is the steady-state mix of BenchmarkPagedServe: scans over
+// five disjoint column groups, the shape of e2ebench's paged workload, whose
+// union holds more than a quarter of the column bytes.
+func pagedRotation() []query.Query {
+	return []query.Query{
+		{Fields: []string{"package", "market_category"},
+			Filters: []query.Filter{{Field: "market", Op: query.OpEq, Value: "Tencent Myapp"}}, Limit: 50},
+		{Fields: []string{"rating", "downloads"},
+			Filters: []query.Filter{{Field: "version_code", Op: query.OpLe, Value: 20}},
+			Sort:    []query.SortKey{{Field: "downloads", Desc: true}}, Limit: 50},
+		{Fields: []string{"developer_name", "update_date"},
+			Filters: []query.Filter{{Field: "release_date", Op: query.OpGe, Value: "2017-01-01"}}, Limit: 50},
+		{Fields: []string{"category", "has_ads"},
+			Filters: []query.Filter{{Field: "has_iap", Op: query.OpEq, Value: true}, {Field: "listed_apk_size", Op: query.OpGe, Value: 1000000}}, Limit: 50},
+		{Fields: []string{"app_name", "version_name"},
+			Filters: []query.Filter{{Field: "app_name", Op: query.OpContains, Value: "App 1"}}, Limit: 50},
 	}
 }
