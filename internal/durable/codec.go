@@ -172,12 +172,12 @@ func (d *decoder) str() string {
 }
 
 // Bulk decoders: one bounds check for a whole fixed-width run instead of a
-// take() per element. Snapshot column sections hold hundreds of thousands of
-// values; the per-call overhead is what recovery time is made of. Each kind
-// has one decode loop. For the kinds a page holds it lives in an
-// into-decoder, which fills a caller-owned slice (len(dst) values) so a page
-// decodes straight into its column's planes; the allocating form wraps it
-// after checking the input holds every value.
+// take() per element. Snapshot pages and record planes hold hundreds of
+// thousands of values; the per-call overhead is what recovery time is made
+// of. Each kind has one decode loop. For the kinds a page holds it lives in
+// an into-decoder, which fills a caller-owned slice (len(dst) values) so a
+// page decodes straight into its column's planes; the allocating form wraps
+// it after checking the input holds every value.
 
 // fits reports whether n values of size bytes each remain, failing the
 // decoder otherwise: the allocating decoders check it before sizing their
@@ -251,15 +251,6 @@ func (d *decoder) u32sInto(dst []uint32) {
 	for i := range dst {
 		dst[i] = binary.LittleEndian.Uint32(b[i*4:])
 	}
-}
-
-func (d *decoder) u32s(n int) []uint32 {
-	if !d.fits(n, 4) {
-		return nil
-	}
-	out := make([]uint32, n)
-	d.u32sInto(out)
-	return out
 }
 
 func (d *decoder) i32sInto(dst []int32) {

@@ -2,13 +2,17 @@ package durable
 
 import "marketscope/internal/appmeta"
 
-// SnapshotContents decodes one snapshot file's cursor and APK blobs, so the
-// external tests can check what a generation persisted, not only what a
-// store recovered from it.
+// SnapshotContents full-loads one snapshot file and returns its cursor and
+// APK blobs, so the external tests can check what a generation persisted,
+// not only what a store recovered from it.
 func SnapshotContents(fsys FS, path string) (uint64, map[appmeta.Key][]byte, error) {
-	data, err := loadSnapshotFile(fsys, path)
+	data, err := loadFull(fsys, path)
 	if err != nil {
 		return 0, nil, err
 	}
 	return data.cursor, data.blobs, nil
 }
+
+// PatchSnapshotVersion returns a copy of an encoded snapshot whose header
+// claims the given format version, its checksum fixed up.
+var PatchSnapshotVersion = patchHeaderVersion

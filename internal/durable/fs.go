@@ -65,9 +65,8 @@ type fileReader interface {
 }
 
 // readWhole reads a file's full contents, taking the presized fast path when
-// the filesystem offers one. Recovery reads whole multi-megabyte files (the
-// WAL, snapshots); io.ReadAll's grow-from-512-bytes resizing is measurable
-// there.
+// the filesystem offers one. Recovery reads the whole multi-megabyte WAL;
+// io.ReadAll's grow-from-512-bytes resizing is measurable there.
 func readWhole(fsys FS, path string) ([]byte, error) {
 	if fr, ok := fsys.(fileReader); ok {
 		return fr.ReadFile(path)

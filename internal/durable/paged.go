@@ -15,11 +15,12 @@ import (
 )
 
 // Version-2 snapshots split every column into resident metadata (section 6)
-// and on-disk value pages (section 7) so a reader can serve a corpus bigger
-// than RAM: openSnapshotLazy validates the file's structure — header,
-// records, blobs, column metadata, footer, exact EOF — without reading a
-// single value page, and the returned snapshotFetcher pages columns in on
-// first touch through query's budgeted pool.
+// and on-disk value pages (section 7). openSnapshot, the one snapshot reader,
+// validates the file's structure — header, records, blobs, column metadata,
+// footer, exact EOF — without reading a single value page, and returns a
+// snapshotFetcher over the pages. A paged store installs the fetcher and pages
+// columns in on first touch through query's budgeted pool; a materialized
+// store reads every column through it at once (loadColumns).
 //
 // A page frame is [ payloadLen u32 | crc u32 | payload ], CRC32-C over the
 // payload alone, so each fetch verifies exactly the bytes it read. The page
@@ -44,6 +45,12 @@ type pageEntry struct {
 	length uint32 // frame payload length (excludes the 8-byte frame header)
 	rows   uint32
 }
+
+// String-layout tags of a string column's metadata (pagedColumn.layout).
+const (
+	strLayoutPlain = 0
+	strLayoutDict  = 1
+)
 
 // pagedColumn is one column's resident half: every structural field of the
 // exported column except the value planes, plus the page table that locates
@@ -193,7 +200,8 @@ func pagesSection(cols []query.ColumnData, metas []pagedColumn, pagesLen uint64)
 }
 
 // encodePage appends one page's slice of the value planes, rows [lo,hi).
-// Time pages are planar within the page, mirroring the v1 column layout.
+// Time pages are planar within the page: seconds, then nanoseconds, then
+// offsets.
 func encodePage(e *encoder, cd *query.ColumnData, lo, hi int) {
 	switch cd.Kind {
 	case query.KindInt:
@@ -478,31 +486,6 @@ func decodeColMetaSection(payload []byte, numColumns int, pagesLen uint64) ([]pa
 	return metas, nil
 }
 
-// assembleColumnsEager materializes every column from its pages — the
-// version-2 path of a full (non-lazy) snapshot load. Each page frame is
-// checksum-verified exactly as a lazy fetch would.
-func assembleColumnsEager(metas []pagedColumn, pages []byte) ([]query.ColumnData, error) {
-	cols := make([]query.ColumnData, 0, len(metas))
-	for i := range metas {
-		m := &metas[i]
-		cd := m.newColumnData(nil)
-		lo := 0
-		for _, pg := range m.pages {
-			payload, err := verifyPageFrame(pages[pg.off:pg.off+8+uint64(pg.length)], pg.length)
-			if err != nil {
-				return nil, corrupt("column %q page at %d: %v", m.meta.Name, pg.off, err)
-			}
-			hi := lo + int(pg.rows)
-			if err := decodePageInto(&cd, m.layout, lo, hi, payload); err != nil {
-				return nil, corrupt("column %q page at %d: %v", m.meta.Name, pg.off, err)
-			}
-			lo = hi
-		}
-		cols = append(cols, cd)
-	}
-	return cols, nil
-}
-
 // verifyPageFrame checks one page frame's length echo and payload checksum
 // and returns the payload.
 func verifyPageFrame(frame []byte, wantLen uint32) ([]byte, error) {
@@ -517,15 +500,10 @@ func verifyPageFrame(frame []byte, wantLen uint32) ([]byte, error) {
 	return payload, nil
 }
 
-// errSnapshotNotPaged marks a version-1 snapshot handed to the lazy opener:
-// the file is valid but carries no page table, so the caller must fall back
-// to the eager loader (and a fully materialized engine).
-var errSnapshotNotPaged = errors.New("durable: snapshot has no paged column layout")
-
-// lazySnapshot is the eagerly-validated half of a version-2 snapshot:
-// everything recovery needs to rebuild the ingestor, plus a fetcher that
-// pages the column value planes in on demand. fetcher is nil when the
-// snapshot holds no columns.
+// lazySnapshot is what openSnapshot reads and validates of a snapshot:
+// everything recovery needs to rebuild the ingestor, plus a fetcher over the
+// column value planes, still on disk. fetcher is nil when the snapshot holds
+// no columns.
 type lazySnapshot struct {
 	cursor    uint64
 	crawlTime time.Time
@@ -549,6 +527,15 @@ func readSectionAt(f File, off int64, wantID uint32) ([]byte, int64, error) {
 	if n > maxLazySection {
 		return nil, 0, corrupt("section %d length %d implausible", id, n)
 	}
+	// The frame's last byte must exist before its length sizes the read
+	// buffer, so a corrupted length fails on the file's size instead of
+	// allocating up to maxLazySection.
+	var last [1]byte
+	if _, err := f.ReadAt(last[:], off+12+int64(n)+3); errors.Is(err, io.EOF) {
+		return nil, 0, corrupt("section %d length %d runs past the end of the file", id, n)
+	} else if err != nil {
+		return nil, 0, fmt.Errorf("durable: read section %d: %w", id, err)
+	}
 	body := make([]byte, n+4)
 	if _, err := f.ReadAt(body, off+12); err != nil {
 		return nil, 0, fmt.Errorf("durable: read section %d: %w", id, err)
@@ -561,12 +548,11 @@ func readSectionAt(f File, off int64, wantID uint32) ([]byte, int64, error) {
 	return payload, off + 12 + int64(n) + 4, nil
 }
 
-// openSnapshotLazy validates a version-2 snapshot's structure — magic,
-// header, records, blobs, column metadata, footer frame, exact EOF — while
-// leaving the pages section untouched on disk, and returns the decoded
-// eager half plus a fetcher over the pages. A version-1 file returns
-// errSnapshotNotPaged; a future version returns ErrSnapshotVersion.
-func openSnapshotLazy(fsys FS, path string) (*lazySnapshot, error) {
+// openSnapshot validates a snapshot's structure — magic, header, records,
+// blobs, column metadata, footer frame, exact EOF — while leaving the pages
+// section untouched on disk, and returns the decoded sections plus a fetcher
+// over the pages. Any version but 2 returns ErrSnapshotVersion.
+func openSnapshot(fsys FS, path string) (*lazySnapshot, error) {
 	f, err := fsys.OpenFile(path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open snapshot: %w", err)
@@ -598,12 +584,8 @@ func openSnapshotLazy(fsys FS, path string) (*lazySnapshot, error) {
 	if hd.err != nil {
 		return nil, corrupt("header: %v", hd.err)
 	}
-	switch version {
-	case snapVersion:
-		return nil, errSnapshotNotPaged
-	case snapVersionPaged:
-	default:
-		return nil, fmt.Errorf("%w: version %d, this build reads up to %d",
+	if version != snapVersionPaged {
+		return nil, fmt.Errorf("%w: version %d, this build reads %d",
 			ErrSnapshotVersion, version, snapVersionPaged)
 	}
 
@@ -666,6 +648,7 @@ func openSnapshotLazy(fsys FS, path string) (*lazySnapshot, error) {
 			fsys:     fsys,
 			path:     path,
 			pagesOff: pagesOff,
+			pagesLen: pagesLen,
 			order:    make([]string, 0, len(metas)),
 			byName:   make(map[string]*pagedColumn, len(metas)),
 		}
@@ -683,17 +666,15 @@ func openSnapshotLazy(fsys FS, path string) (*lazySnapshot, error) {
 }
 
 // snapshotFetcher implements query.ColumnFetcher over a version-2 snapshot:
-// each fetch opens the file read-only, reads the column's page frames with
-// one positioned read over their span, verifies every frame's length echo and
-// checksum and decodes the planes into a ColumnData sharing the resident
-// metadata. The read buffer and the planes are the memory the page pool
-// lends the fetch (query.LentPageMemory); a plain string column's values
-// alias the buffer. Safe for concurrent use — every fetch owns its handle
-// and its loan.
+// each fetch opens the file read-only and reads one column (readColumn) into
+// the memory the page pool lends the fetch (query.LentPageMemory); a plain
+// string column's values alias the read buffer. Safe for concurrent use —
+// every fetch owns its handle and its loan.
 type snapshotFetcher struct {
 	fsys     FS
 	path     string
-	pagesOff int64
+	pagesOff int64  // file offset of the pages section's payload
+	pagesLen uint64 // its length; the section checksum follows it
 	order    []string
 	byName   map[string]*pagedColumn
 }
@@ -721,37 +702,86 @@ func (sf *snapshotFetcher) FetchColumn(ctx context.Context, name string) (*query
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	mem := query.LentPageMemory(ctx)
-	cd := m.newColumnData(mem)
-	if len(m.pages) == 0 {
-		return &cd, nil
-	}
 	f, err := sf.fsys.OpenFile(sf.path, os.O_RDONLY, 0)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open snapshot for paging: %w", err)
 	}
 	defer f.Close()
+	cd, _, err := sf.readColumn(f, m, query.LentPageMemory(ctx), query.ErrPageCorrupt)
+	return cd, err
+}
 
+// readColumn reads one column's page frames from f with one positioned read
+// over their span, verifies every frame's length echo and checksum, and
+// decodes the planes into memory from mem (fresh slices when mem is nil),
+// sharing the resident metadata. It returns the column and the span it read.
+// A frame that fails verification or decoding is an error wrapping bad.
+func (sf *snapshotFetcher) readColumn(f File, m *pagedColumn, mem *query.PageMemory, bad error) (*query.ColumnData, []byte, error) {
+	cd := m.newColumnData(mem)
+	if len(m.pages) == 0 {
+		return &cd, nil, nil
+	}
 	// The page table orders a column's frames by offset without overlap
 	// (decodeColMetaSection), so one read covers them all.
 	start := m.pages[0].off
 	last := m.pages[len(m.pages)-1]
-	buf := mem.Buffer(int(last.off + 8 + uint64(last.length) - start))
-	if _, err := f.ReadAt(buf, sf.pagesOff+int64(start)); err != nil {
-		return nil, fmt.Errorf("durable: read column %q pages at %d: %w", name, start, err)
+	span := mem.Buffer(int(last.off + 8 + uint64(last.length) - start))
+	if _, err := f.ReadAt(span, sf.pagesOff+int64(start)); err != nil {
+		return nil, nil, fmt.Errorf("durable: read column %q pages at %d: %w", m.meta.Name, start, err)
 	}
 	lo := 0
 	for _, pg := range m.pages {
 		rel := pg.off - start
-		payload, err := verifyPageFrame(buf[rel:rel+8+uint64(pg.length)], pg.length)
-		if err != nil {
-			return nil, fmt.Errorf("%w: column %q page at %d: %v", query.ErrPageCorrupt, name, pg.off, err)
-		}
 		hi := lo + int(pg.rows)
-		if err := decodePageInto(&cd, m.layout, lo, hi, payload); err != nil {
-			return nil, fmt.Errorf("%w: column %q page at %d: %v", query.ErrPageCorrupt, name, pg.off, err)
+		payload, err := verifyPageFrame(span[rel:rel+8+uint64(pg.length)], pg.length)
+		if err == nil {
+			err = decodePageInto(&cd, m.layout, lo, hi, payload)
+		}
+		if err != nil {
+			return nil, nil, fmt.Errorf("%w: column %q page at %d: %v", bad, m.meta.Name, pg.off, err)
 		}
 		lo = hi
 	}
-	return &cd, nil
+	return &cd, span, nil
+}
+
+// loadColumns reads and decodes every column into fresh memory through one
+// handle, in page-table order: the full load of a materialized store. It
+// checks every checksum the file carries: besides each frame's, the pages
+// section's own, folded over the column spans as they are read. So the spans
+// must tile the section, and the running CRC32-C must equal its trailer.
+// Any mismatch is ErrSnapshotCorrupt.
+func (sf *snapshotFetcher) loadColumns() ([]query.ColumnData, error) {
+	f, err := sf.fsys.OpenFile(sf.path, os.O_RDONLY, 0)
+	if err != nil {
+		return nil, fmt.Errorf("durable: open snapshot: %w", err)
+	}
+	defer f.Close()
+	cols := make([]query.ColumnData, 0, len(sf.order))
+	var crc uint32
+	var end uint64 // where the spans read so far end
+	for _, name := range sf.order {
+		m := sf.byName[name]
+		if len(m.pages) > 0 && m.pages[0].off != end {
+			return nil, corrupt("column %q pages start at %d; the columns before it end at %d", name, m.pages[0].off, end)
+		}
+		cd, span, err := sf.readColumn(f, m, nil, ErrSnapshotCorrupt)
+		if err != nil {
+			return nil, err
+		}
+		crc = crc32.Update(crc, castagnoli, span)
+		end += uint64(len(span))
+		cols = append(cols, *cd)
+	}
+	if end != sf.pagesLen {
+		return nil, corrupt("column pages end at %d in a pages section of %d bytes", end, sf.pagesLen)
+	}
+	var trailer [4]byte
+	if _, err := f.ReadAt(trailer[:], sf.pagesOff+int64(sf.pagesLen)); err != nil {
+		return nil, fmt.Errorf("durable: read pages checksum: %w", err)
+	}
+	if binary.LittleEndian.Uint32(trailer[:]) != crc {
+		return nil, corrupt("section %d checksum mismatch", secColPages)
+	}
+	return cols, nil
 }

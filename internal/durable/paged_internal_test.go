@@ -1,9 +1,9 @@
 package durable
 
-// Unit tests for the version-2 paged snapshot format: both formats load, the
-// lazy opener validates structure without touching pages, per-page checksums
-// catch corruption at fetch time, multi-page columns round-trip, and files
-// from a newer format version are refused with ErrSnapshotVersion (never
+// Unit tests for the version-2 paged snapshot format: the one reader
+// validates structure without touching pages, per-page checksums catch
+// corruption at fetch time, multi-page columns round-trip, and files in any
+// other format version are refused with ErrSnapshotVersion (never
 // quarantined, never partially adopted).
 
 import (
@@ -24,53 +24,21 @@ import (
 	"marketscope/internal/query"
 )
 
-// TestSnapshotV1StillLoads pins backward compatibility: a version-1 file (the
-// pre-paging layout) must decode byte-identically even though this build
-// writes version 2.
-func TestSnapshotV1StillLoads(t *testing.T) {
-	want := testSnapshotData()
-	got, err := decodeSnapshot(encodeSnapshotV1(want))
-	if err != nil {
-		t.Fatalf("decode v1: %v", err)
-	}
-	if got.cursor != want.cursor || !got.crawlTime.Equal(want.crawlTime) {
-		t.Fatalf("header mismatch: %d/%v", got.cursor, got.crawlTime)
-	}
-	if !reflect.DeepEqual(got.records, want.records) {
-		t.Fatal("records mismatch")
-	}
-	if !reflect.DeepEqual(got.blobs, want.blobs) {
-		t.Fatalf("blobs mismatch: %v", got.blobs)
-	}
-	if !reflect.DeepEqual(got.columns, want.columns) {
-		t.Fatalf("columns mismatch:\n got %+v\nwant %+v", got.columns, want.columns)
-	}
-}
-
 // TestSnapshotMultiPageRoundTrip shrinks pageRows so every column spans
-// several pages, and requires both the eager decode and the every-flip
+// several pages, and requires both the full load and the every-flip
 // detection property to hold on the multi-page layout.
 func TestSnapshotMultiPageRoundTrip(t *testing.T) {
-	old := pageRows
-	pageRows = 2
-	defer func() { pageRows = old }()
-
+	withPageRows(t, 2)
 	want := testSnapshotData()
 	full := encodeSnapshot(want)
-	got, err := decodeSnapshot(full)
+	got, err := loadBytes(t, t.TempDir(), full)
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if !reflect.DeepEqual(got.columns, want.columns) {
 		t.Fatalf("columns mismatch:\n got %+v\nwant %+v", got.columns, want.columns)
 	}
-	for i := range full {
-		mut := append([]byte(nil), full...)
-		mut[i] ^= 0x5a
-		if _, err := decodeSnapshot(mut); err == nil {
-			t.Fatalf("flip at byte %d decoded cleanly", i)
-		}
-	}
+	requireEveryFlipDetected(t, full)
 }
 
 // withPageRows sets pageRows for the rest of the test.
@@ -155,7 +123,7 @@ func lazyRoundTrip(t *testing.T, want *snapshotData) {
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	lz, err := openSnapshotLazy(OSFS, path)
+	lz, err := openSnapshot(OSFS, path)
 	if err != nil {
 		t.Fatalf("lazy open: %v", err)
 	}
@@ -230,7 +198,7 @@ func TestLazyFetchDetectsPageCorruption(t *testing.T) {
 			if err != nil {
 				t.Fatalf("write: %v", err)
 			}
-			lz, err := openSnapshotLazy(OSFS, path)
+			lz, err := openSnapshot(OSFS, path)
 			if err != nil {
 				t.Fatalf("lazy open: %v", err)
 			}
@@ -243,7 +211,7 @@ func TestLazyFetchDetectsPageCorruption(t *testing.T) {
 			if err := os.WriteFile(path, blob, 0o644); err != nil {
 				t.Fatal(err)
 			}
-			lz2, err := openSnapshotLazy(OSFS, path)
+			lz2, err := openSnapshot(OSFS, path)
 			if err != nil {
 				t.Fatalf("lazy reopen of page-corrupt file: %v", err)
 			}
@@ -262,9 +230,9 @@ func TestLazyFetchDetectsPageCorruption(t *testing.T) {
 					t.Fatalf("undamaged column %q mismatch:\n got %+v\nwant %+v", wc.Name, *got, wc)
 				}
 			}
-			// The eager loader must refuse the whole file.
-			if _, err := loadSnapshotFile(OSFS, path); !errors.Is(err, ErrSnapshotCorrupt) {
-				t.Fatalf("eager load of page-corrupt file err = %v", err)
+			// The full load must refuse the whole file.
+			if _, err := loadFull(OSFS, path); !errors.Is(err, ErrSnapshotCorrupt) {
+				t.Fatalf("full load of page-corrupt file err = %v", err)
 			}
 		})
 	}
@@ -282,7 +250,7 @@ func TestPagedFetchBufferReuse(t *testing.T) {
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	lz, err := openSnapshotLazy(OSFS, path)
+	lz, err := openSnapshot(OSFS, path)
 	if err != nil {
 		t.Fatalf("lazy open: %v", err)
 	}
@@ -353,69 +321,10 @@ func TestPagedDecodeRejectsBadPayloads(t *testing.T) {
 	}
 }
 
-// FuzzPagedFetch checks the lazy reader against the eager one: every input
-// decodeSnapshot accepts is written out, opened lazily and every column
-// fetched, and each fetched column must equal the eager decode's. No input
-// may panic either reader. The seeds include pageRows 2 encodings, whose
-// columns span several frames.
-func FuzzPagedFetch(f *testing.F) {
-	f.Add(encodeSnapshot(multiPageSnapshotData()))
-	f.Add(encodeSnapshotV1(testSnapshotData()))
-	f.Add(encodeSnapshot(&snapshotData{}))
-	old := pageRows
-	pageRows = 2
-	f.Add(encodeSnapshot(multiPageSnapshotData()))
-	f.Add(encodeSnapshot(testSnapshotData()))
-	pageRows = old
-	dir := f.TempDir()
-	f.Fuzz(func(t *testing.T, data []byte) {
-		want, err := decodeSnapshot(data)
-		if err != nil {
-			return
-		}
-		path := dir + "/case.snap"
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Skip()
-		}
-		lz, err := openSnapshotLazy(OSFS, path)
-		if errors.Is(err, errSnapshotNotPaged) {
-			return // version 1: nothing to page
-		}
-		if err != nil {
-			// The lazy opener also refuses duplicate column names, which the
-			// eager decode leaves to the engine import.
-			names := map[string]bool{}
-			for _, c := range want.columns {
-				names[c.Name] = true
-			}
-			if len(names) == len(want.columns) {
-				t.Fatalf("lazy open refused what the eager decode accepts: %v", err)
-			}
-			return
-		}
-		if lz.fetcher == nil {
-			if len(want.columns) != 0 {
-				t.Fatalf("no fetcher for %d columns", len(want.columns))
-			}
-			return
-		}
-		for _, wc := range want.columns {
-			got, err := lz.fetcher.FetchColumn(context.Background(), wc.Name)
-			if err != nil {
-				t.Fatalf("fetch %q: %v", wc.Name, err)
-			}
-			if !reflect.DeepEqual(*got, wc) {
-				t.Fatalf("column %q: lazy fetch diverges from the eager decode:\n got %+v\nwant %+v", wc.Name, *got, wc)
-			}
-		}
-	})
-}
-
 // patchHeaderVersion rewrites the version field of an encoded snapshot's
 // header section and fixes the section checksum, producing a structurally
-// valid file claiming a newer format.
-func patchHeaderVersion(t *testing.T, buf []byte, version uint32) []byte {
-	t.Helper()
+// valid file claiming another format version.
+func patchHeaderVersion(buf []byte, version uint32) []byte {
 	out := append([]byte(nil), buf...)
 	n := binary.LittleEndian.Uint64(out[len(snapMagic)+4:])
 	payload := out[len(snapMagic)+12 : len(snapMagic)+12+int(n)]
@@ -424,49 +333,45 @@ func patchHeaderVersion(t *testing.T, buf []byte, version uint32) []byte {
 	return out
 }
 
-// TestSnapshotFutureVersionRefused covers both refusal triggers — an unknown
-// magic with the MSNAP prefix, and a known magic carrying a header version
-// this build does not read — on both the eager and the lazy path. The error
-// must be ErrSnapshotVersion, distinguishable from corruption.
+// TestSnapshotFutureVersionRefused covers every refusal trigger — an unknown
+// magic with the MSNAP prefix, and a known magic whose header carries a
+// newer version or version 1 — on the one reader, in both the open and the
+// full load. The error must be ErrSnapshotVersion, distinguishable from
+// corruption; a non-MSNAP magic stays plain corruption.
 func TestSnapshotFutureVersionRefused(t *testing.T) {
 	full := encodeSnapshot(testSnapshotData())
-
 	newerMagic := append([]byte(nil), full...)
 	copy(newerMagic, "MSNAP009")
-	if _, err := decodeSnapshot(newerMagic); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("newer magic eager err = %v", err)
-	}
-	newerHeader := patchHeaderVersion(t, full, snapVersionPaged+1)
-	if _, err := decodeSnapshot(newerHeader); !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("newer header eager err = %v", err)
-	}
-	// A non-MSNAP magic stays plain corruption.
 	junkMagic := append([]byte(nil), full...)
 	copy(junkMagic, "NOTSNAPS")
-	if _, err := decodeSnapshot(junkMagic); !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("junk magic eager err = %v", err)
-	}
 
 	dir := t.TempDir()
 	for name, blob := range map[string][]byte{
 		"magic.snap":  newerMagic,
-		"header.snap": newerHeader,
+		"header.snap": patchHeaderVersion(full, snapVersionPaged+1),
+		"v1.snap":     patchHeaderVersion(full, 1),
+		"junk.snap":   junkMagic,
 	} {
 		path := dir + "/" + name
 		if err := os.WriteFile(path, blob, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := openSnapshotLazy(OSFS, path); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("%s lazy err = %v", name, err)
-		}
-		if _, err := loadSnapshotFile(OSFS, path); !errors.Is(err, ErrSnapshotVersion) {
-			t.Fatalf("%s eager err = %v", name, err)
+		_, openErr := openSnapshot(OSFS, path)
+		_, loadErr := loadFull(OSFS, path)
+		for _, err := range []error{openErr, loadErr} {
+			if name == "junk.snap" {
+				if !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
+					t.Fatalf("%s err = %v, want corruption", name, err)
+				}
+			} else if !errors.Is(err, ErrSnapshotVersion) {
+				t.Fatalf("%s err = %v, want ErrSnapshotVersion", name, err)
+			}
 		}
 	}
 }
 
 // TestSnapshotUnknownSectionRefused overwrites the records section's id with
-// one no version defines: both readers must reject the file as corrupt — a
+// one no version defines: the reader must reject the file as corrupt — a
 // clear error, nothing partially adopted — rather than skipping the section.
 func TestSnapshotUnknownSectionRefused(t *testing.T) {
 	full := encodeSnapshot(testSnapshotData())
@@ -474,15 +379,29 @@ func TestSnapshotUnknownSectionRefused(t *testing.T) {
 	n := binary.LittleEndian.Uint64(mut[len(snapMagic)+4:])
 	recOff := len(snapMagic) + 12 + int(n) + 4
 	binary.LittleEndian.PutUint32(mut[recOff:], 99)
-	if _, err := decodeSnapshot(mut); !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("unknown section eager err = %v", err)
+	if _, err := loadBytes(t, t.TempDir(), mut); !errors.Is(err, ErrSnapshotCorrupt) || errors.Is(err, ErrSnapshotVersion) {
+		t.Fatalf("unknown section err = %v", err)
 	}
-	path := t.TempDir() + "/unknown.snap"
-	if err := os.WriteFile(path, mut, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// TestSnapshotSectionLengthPastEOF gives the records section a length of
+// 1 GiB, far past the end of the file but below maxLazySection: the reader
+// must refuse the file as corrupt without allocating that length.
+func TestSnapshotSectionLengthPastEOF(t *testing.T) {
+	mut := encodeSnapshot(testSnapshotData())
+	n := binary.LittleEndian.Uint64(mut[len(snapMagic)+4:])
+	recOff := len(snapMagic) + 12 + int(n) + 4
+	binary.LittleEndian.PutUint64(mut[recOff+4:], 1<<30)
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := loadBytes(t, dir, mut)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("section length past EOF err = %v", err)
 	}
-	if _, err := openSnapshotLazy(OSFS, path); err == nil || errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("unknown section lazy err = %v", err)
+	if a := after.TotalAlloc - before.TotalAlloc; a > 1<<20 {
+		t.Fatalf("refusing the file allocated %d bytes", a)
 	}
 }
 
@@ -579,7 +498,7 @@ func TestPagedSteadyStateAllocation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	lz, err := openSnapshotLazy(OSFS, path)
+	lz, err := openSnapshot(OSFS, path)
 	if err != nil {
 		t.Fatalf("lazy open: %v", err)
 	}

@@ -21,6 +21,7 @@ import (
 
 	"marketscope/internal/durable"
 	"marketscope/internal/durable/errfs"
+	"marketscope/internal/ingest"
 	"marketscope/internal/query"
 )
 
@@ -99,25 +100,19 @@ func canonicalBytes(res *query.Result) []byte {
 }
 
 // pagedMix runs every paged request against the materialized oracle and
-// returns the servable ones with their expected canonical bytes. Requests the
-// oracle itself rejects (the battery probes one unknown field deliberately)
-// are dropped: requireSameState checks error parity for those, while this
-// suite is about answers.
+// returns the mix with each request's expected canonical bytes. The oracle
+// must serve them all.
 func pagedMix(t testing.TB, upTo uint64) ([]pagedRequest, map[string][]byte) {
 	t.Helper()
 	oracle := oracleSource(t, upTo)
-	var reqs []pagedRequest
+	reqs := pagedRequests()
 	want := make(map[string][]byte)
-	for _, r := range pagedRequests() {
+	for _, r := range reqs {
 		res, err := r.run(oracle)
 		if err != nil {
-			continue
+			t.Fatalf("oracle %s: %v", r.name, err)
 		}
-		reqs = append(reqs, r)
 		want[r.name] = canonicalBytes(res)
-	}
-	if len(reqs) < 3 {
-		t.Fatalf("only %d servable requests in the mix", len(reqs))
 	}
 	return reqs, want
 }
@@ -428,8 +423,8 @@ func TestPagedResultsSurviveRecycling(t *testing.T) {
 // TestPagedSnapshotUnderEviction writes snapshots of a paged store while a
 // concurrent mix keeps evicting and fetching columns. Export holds no pins,
 // so it must not read the pool's columns, whose memory an eviction hands to
-// the next fetch: the new generation must reopen, eager and paged, to the
-// oracle's state.
+// the next fetch: the new generation must reopen, materialized and paged, to
+// the oracle's state.
 func TestPagedSnapshotUnderEviction(t *testing.T) {
 	fs := buildPagedState(t)
 	ds, _ := deltas(t)
@@ -686,55 +681,135 @@ func TestPagedEpochSwapRetiresPages(t *testing.T) {
 	requireSameState(t, sourceOf(s2), oracleSource(t, uint64(len(ds))))
 }
 
-// TestStoreSkipsFutureSnapshotGeneration drops a snapshot from a "newer
-// build" (MSNAP magic, unknown version) into the directory as the newest
-// generation: recovery must skip it without quarantining — renaming a newer
-// binary's file would destroy its data — and serve the real state, on both
-// the paged and the materialized recovery path.
-func TestStoreSkipsFutureSnapshotGeneration(t *testing.T) {
+// TestPagedGenerationSurvivesPruning serves a paged engine while deltas that
+// add no rows (re-crawls) advance the cursor and, with SnapshotEvery 1, write
+// a generation each. Pruning must keep the generation the engine pages from,
+// so every request still answers like the oracle. Once a row-adding delta
+// retires that engine, the next prune drops the generation, and the dir
+// holds KeepSnapshots generations again.
+func TestPagedGenerationSurvivesPruning(t *testing.T) {
 	ds, crawlTime := deltas(t)
-	for _, budget := range []int64{0, -1} {
-		fs := errfs.New()
-		s := openStore(t, storeOpts(fs, crawlTime))
-		applyAll(t, s, ds)
-		if err := s.WriteSnapshot(); err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
-		s.Close()
+	last := len(ds) - 1
+	fs := errfs.New()
+	s := openStore(t, storeOpts(fs, crawlTime))
+	applyAll(t, s, ds[:last])
+	if err := s.WriteSnapshot(); err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	s.Close()
 
-		future := fmt.Sprintf("snap-%016x.snap", len(ds)+7)
-		blob := append([]byte("MSNAP009"), bytes.Repeat([]byte{0xee}, 200)...)
-		if err := fs.WriteFile("data/"+future, blob); err != nil {
-			t.Fatal(err)
-		}
-
-		opts := storeOpts(fs, crawlTime)
-		opts.PageBudget = budget
-		s2 := openStore(t, opts)
-		if n := s2.Metrics().SnapshotCorruptQuarantined.Load(); n != 0 {
-			t.Fatalf("budget %d: future snapshot quarantined (%d)", budget, n)
-		}
-		if c := s2.Cursor(); c != uint64(len(ds)) {
-			t.Fatalf("budget %d: recovered cursor %d, want %d", budget, c, len(ds))
-		}
-		requireSameState(t, sourceOf(s2), oracleSource(t, uint64(len(ds))))
-		s2.Close()
-
+	generations := func() int {
 		names, err := fs.ReadDir("data")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !contains(names, future) {
-			t.Fatalf("budget %d: future snapshot gone from %v", budget, names)
-		}
-		for _, n := range names {
-			if strings.HasSuffix(n, ".corrupt") {
-				t.Fatalf("budget %d: quarantine file %s appeared", budget, n)
+		n := 0
+		for _, name := range names {
+			if strings.HasSuffix(name, ".snap") {
+				n++
 			}
 		}
-		got, err := fs.ReadFile("data/" + future)
-		if err != nil || !bytes.Equal(got, blob) {
-			t.Fatalf("budget %d: future snapshot modified (err %v)", budget, err)
+		return n
+	}
+	opts := pagedOpts(t, fs, -1)
+	opts.SnapshotEvery = 1
+	s2 := openStore(t, opts)
+	defer s2.Close()
+	paged := sourceOf(s2)
+	for i := 0; i < 3; i++ {
+		recrawl := ingest.Delta{Seq: s2.Cursor(), Listings: ds[1].Listings}
+		if res, err := s2.Apply(recrawl); err != nil || !res.Applied || res.Added != 0 {
+			t.Fatalf("re-crawl %d: %+v %v", i, res, err)
+		}
+	}
+	if err := s2.Err(); err != nil {
+		t.Fatalf("cadence snapshot: %v", err)
+	}
+	if sourceOf(s2) != paged {
+		t.Fatal("a delta that adds no rows swapped the paged engine")
+	}
+	requireSameState(t, paged, oracleSource(t, uint64(last)))
+	if n := generations(); n != 3 {
+		t.Fatalf("%d generations beside a served paged engine, want the 2 newest plus its own", n)
+	}
+
+	if res, err := s2.Apply(ingest.Delta{Seq: s2.Cursor(), Listings: ds[last].Listings}); err != nil || res.Added == 0 {
+		t.Fatalf("row-adding delta: %+v %v", res, err)
+	}
+	if n := generations(); n != 2 {
+		t.Fatalf("%d generations after the paged engine retired, want 2", n)
+	}
+	requireSameState(t, sourceOf(s2), oracleSource(t, uint64(len(ds))))
+}
+
+// TestStoreSkipsFutureSnapshotGeneration drops a snapshot this build does not
+// read into the directory as the newest generation — one from a "newer
+// build" (MSNAP magic, unknown version), or a real snapshot whose header
+// claims version 1: recovery must skip it without quarantining — renaming a
+// newer binary's file would destroy its data — and serve the real state, on
+// both the paged and the materialized recovery path.
+func TestStoreSkipsFutureSnapshotGeneration(t *testing.T) {
+	ds, crawlTime := deltas(t)
+	full := uint64(len(ds))
+	current := fmt.Sprintf("snap-%016x.snap", full)
+	for _, unread := range []struct {
+		name string
+		blob func(current []byte) []byte
+	}{
+		{"future", func([]byte) []byte { return append([]byte("MSNAP009"), bytes.Repeat([]byte{0xee}, 200)...) }},
+		{"v1", func(current []byte) []byte { return durable.PatchSnapshotVersion(current, 1) }},
+	} {
+		for _, budget := range []int64{0, -1} {
+			label := fmt.Sprintf("%s, budget %d", unread.name, budget)
+			fs := errfs.New()
+			s := openStore(t, storeOpts(fs, crawlTime))
+			applyAll(t, s, ds)
+			if err := s.WriteSnapshot(); err != nil {
+				t.Fatalf("snapshot: %v", err)
+			}
+			s.Close()
+
+			cur, err := fs.ReadFile("data/" + current)
+			if err != nil {
+				t.Fatal(err)
+			}
+			newest := fmt.Sprintf("snap-%016x.snap", full+7)
+			blob := unread.blob(cur)
+			if err := fs.WriteFile("data/"+newest, blob); err != nil {
+				t.Fatal(err)
+			}
+
+			opts := storeOpts(fs, crawlTime)
+			opts.PageBudget = budget
+			s2 := openStore(t, opts)
+			if n := s2.Metrics().SnapshotCorruptQuarantined.Load(); n != 0 {
+				t.Fatalf("%s: unread snapshot quarantined (%d)", label, n)
+			}
+			if c := s2.Cursor(); c != full {
+				t.Fatalf("%s: recovered cursor %d, want %d", label, c, full)
+			}
+			if g := s2.Metrics().LastSnapshotGeneration.Load(); g != full {
+				t.Fatalf("%s: recovered from generation %d, want %d", label, g, full)
+			}
+			requireSameState(t, sourceOf(s2), oracleSource(t, full))
+			s2.Close()
+
+			names, err := fs.ReadDir("data")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !contains(names, newest) {
+				t.Fatalf("%s: unread snapshot gone from %v", label, names)
+			}
+			for _, n := range names {
+				if strings.HasSuffix(n, ".corrupt") {
+					t.Fatalf("%s: quarantine file %s appeared", label, n)
+				}
+			}
+			got, err := fs.ReadFile("data/" + newest)
+			if err != nil || !bytes.Equal(got, blob) {
+				t.Fatalf("%s: unread snapshot modified (err %v)", label, err)
+			}
 		}
 	}
 }

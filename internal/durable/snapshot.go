@@ -9,7 +9,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"sync"
 	"time"
 
 	"marketscope/internal/appmeta"
@@ -24,17 +23,12 @@ import (
 //	  2 records: the dataset's metadata records, in dataset order, laid out
 //	             struct-of-arrays (one plane per field; see below)
 //	  3 blobs:   the APK bytes of every ingested key that supplied one
-//	  version 1 continues:
-//	  4 columns: the sealed column store (typed slices, null bitmaps,
-//	             dictionaries, bitmap posting lists, zone maps)
-//	  version 2 continues:
 //	  6 colmeta: per column, everything but the value planes (null bitmap,
 //	             dictionary, zone maps, posting lists) plus the page table
 //	             locating the planes inside section 7
 //	  7 pages:   per-page frames [ len u32 | crc u32 | payload ] of column
-//	             value planes — individually checksummed so a lazy reader can
-//	             fetch and verify one page without touching the rest
-//	  both end with:
+//	             value planes — individually checksummed so a reader can
+//	             fetch and verify one column without touching the rest
 //	  5 footer:  "MSNAPEND"
 //
 // Every section payload carries its own CRC32-C; the footer proves the file
@@ -44,22 +38,21 @@ import (
 // directory fsynced, so a crash mid-write leaves at worst a stale temp file,
 // which the next Open deletes — never a half-visible snapshot. Any decode failure anywhere makes the whole file invalid; the
 // store then quarantines it and falls back. The single exception is a header
-// announcing a version newer than this build understands: the file is
-// refused wholesale (ErrSnapshotVersion) but left in place for the newer
-// binary that wrote it.
+// announcing a version other than 2 — version 1, which kept the columns in
+// one section (id 4) this build does not decode, or a newer build's format:
+// the file is refused wholesale (ErrSnapshotVersion) but left in place.
 //
-// This build writes version 2 and reads both. Version 2's lazy reader and
-// the page codec live in paged.go.
+// This build writes and reads version 2 only. Its one reader, shared by the
+// paged and the materialized store, and the page codec live in paged.go.
 
 const (
 	snapMagic       = "MSNAP001"
 	snapMagicPrefix = "MSNAP"
 	snapFooter      = "MSNAPEND"
-	snapVersion     = 1
-	// snapVersionPaged is the current write format: column value planes live
-	// in a per-page-checksummed pages section behind a page table, so a
-	// reader can validate the file and serve queries without materializing
-	// the columns (see paged.go).
+	// snapVersionPaged is the one format this build writes and reads: column
+	// value planes live in a per-page-checksummed pages section behind a page
+	// table, so a reader can validate the file and serve queries without
+	// materializing the columns (see paged.go).
 	snapVersionPaged = 2
 	snapSuffix       = ".snap"
 	corruptSuffix    = ".corrupt"
@@ -72,10 +65,9 @@ const (
 	secHeader  = 1
 	secRecords = 2
 	secBlobs   = 3
-	secColumns = 4
 	secFooter  = 5
-	// Version-2 sections: column metadata (everything but the value planes,
-	// plus the page table) and the page frames themselves.
+	// Column metadata (everything but the value planes, plus the page table)
+	// and the page frames themselves.
 	secColMeta  = 6
 	secColPages = 7
 )
@@ -242,15 +234,16 @@ func planeTime(sec int64, nsec, off int32) (time.Time, error) {
 // ErrSnapshotCorrupt wraps every structural failure loading a snapshot.
 var ErrSnapshotCorrupt = errors.New("durable: snapshot corrupt")
 
-// ErrSnapshotVersion marks a snapshot written by a newer format version than
-// this build reads. The file is not corrupt — a newer binary can load it — so
-// recovery skips it without quarantining and falls back to an older
-// generation or the WAL. Nothing of the file is adopted.
-var ErrSnapshotVersion = errors.New("durable: snapshot from a newer format version")
+// ErrSnapshotVersion marks a snapshot in a format version this build does not
+// read: version 1, or a newer build's. The file is not corrupt — the binary
+// that wrote it can load it — so recovery skips it without quarantining and
+// falls back to an older generation or the WAL. Nothing of the file is
+// adopted.
+var ErrSnapshotVersion = errors.New("durable: snapshot in a version this build does not read")
 
-// snapshotData is one decoded snapshot: everything recovery needs to rebuild
-// the ingestor (records + blobs + cursor + crawl time) plus the column store
-// that spares the engine its re-extraction.
+// snapshotData is what one snapshot holds: everything recovery needs to
+// rebuild the ingestor (records + blobs + cursor + crawl time) plus the
+// column store that spares the engine its re-extraction.
 type snapshotData struct {
 	cursor    uint64
 	crawlTime time.Time
@@ -439,24 +432,6 @@ func corrupt(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrSnapshotCorrupt, fmt.Sprintf(format, args...))
 }
 
-// nextSection parses one section frame without verifying its checksum; the
-// caller runs checkSection, possibly on another goroutine — the payload
-// sections are megabytes each and their checksums can verify concurrently.
-func nextSection(buf []byte, off int) (id uint32, payload []byte, crc uint32, next int, err error) {
-	if len(buf)-off < 12 {
-		return 0, nil, 0, 0, corrupt("truncated section frame at offset %d", off)
-	}
-	id = binary.LittleEndian.Uint32(buf[off:])
-	n := binary.LittleEndian.Uint64(buf[off+4:])
-	body := off + 12
-	if rem := len(buf) - body; rem < 4 || n > uint64(rem-4) {
-		return 0, nil, 0, 0, corrupt("section %d length %d exceeds file", id, n)
-	}
-	payload = buf[body : body+int(n)]
-	crc = binary.LittleEndian.Uint32(buf[body+int(n):])
-	return id, payload, crc, body + int(n) + 4, nil
-}
-
 func checkSection(id uint32, payload []byte, crc uint32) error {
 	if crc32.Checksum(payload, castagnoli) != crc {
 		return corrupt("section %d checksum mismatch", id)
@@ -464,169 +439,8 @@ func checkSection(id uint32, payload []byte, crc uint32) error {
 	return nil
 }
 
-func decodeSnapshot(buf []byte) (*snapshotData, error) {
-	data, wait, err := decodeSnapshotOverlap(buf)
-	if err != nil {
-		return nil, err
-	}
-	if err := wait(); err != nil {
-		return nil, err
-	}
-	return data, nil
-}
-
-// decodeSnapshotOverlap verifies every section frame and decodes the header,
-// records and blobs sections before returning; the columns section — the
-// largest — keeps decoding on a background goroutine, and wait blocks until
-// it finishes and reports its error. Recovery exploits the split: rebuilding
-// the ingestor needs only records and blobs, so it runs concurrently with the
-// column decode instead of after it. data.columns must not be touched before
-// wait returns nil.
-func decodeSnapshotOverlap(buf []byte) (*snapshotData, func() error, error) {
-	if len(buf) < len(snapMagic) {
-		return nil, nil, corrupt("bad magic")
-	}
-	if string(buf[:len(snapMagic)]) != snapMagic {
-		if string(buf[:len(snapMagicPrefix)]) == snapMagicPrefix {
-			return nil, nil, fmt.Errorf("%w: magic %q, this build reads %q",
-				ErrSnapshotVersion, buf[:len(snapMagic)], snapMagic)
-		}
-		return nil, nil, corrupt("bad magic")
-	}
-	// The header section comes first and names the version, which decides
-	// what sections must follow it.
-	gotID, hdrPayload, hdrCRC, off, err := nextSection(buf, len(snapMagic))
-	if err != nil {
-		return nil, nil, err
-	}
-	if gotID != secHeader {
-		return nil, nil, corrupt("section %d where %d expected", gotID, secHeader)
-	}
-	if err := checkSection(secHeader, hdrPayload, hdrCRC); err != nil {
-		return nil, nil, err
-	}
-	hd := &decoder{buf: hdrPayload}
-	version := hd.u32()
-	data := &snapshotData{cursor: hd.u64(), crawlTime: hd.timeVal()}
-	numRecords := int(hd.u32())
-	numBlobs := int(hd.u32())
-	numColumns := int(hd.u32())
-	if hd.err != nil {
-		return nil, nil, corrupt("header: %v", hd.err)
-	}
-	var colSections []uint32
-	switch version {
-	case snapVersion:
-		colSections = []uint32{secColumns}
-	case snapVersionPaged:
-		colSections = []uint32{secColMeta, secColPages}
-	default:
-		return nil, nil, fmt.Errorf("%w: version %d, this build reads up to %d",
-			ErrSnapshotVersion, version, snapVersionPaged)
-	}
-	want := append([]uint32{secRecords, secBlobs}, colSections...)
-	want = append(want, secFooter)
-	payloads := make(map[uint32][]byte, len(want))
-	crcs := make(map[uint32]uint32, len(want))
-	for _, id := range want {
-		gotID, payload, crc, next, err := nextSection(buf, off)
-		if err != nil {
-			return nil, nil, err
-		}
-		if gotID != id {
-			return nil, nil, corrupt("section %d where %d expected", gotID, id)
-		}
-		payloads[id] = payload
-		crcs[id] = crc
-		off = next
-	}
-	if off != len(buf) {
-		return nil, nil, corrupt("%d trailing bytes after footer", len(buf)-off)
-	}
-	// The footer verifies inline; the payload sections verify inside their
-	// decode goroutines below, ahead of any decoding.
-	if err := checkSection(secFooter, payloads[secFooter], crcs[secFooter]); err != nil {
-		return nil, nil, err
-	}
-	if string(payloads[secFooter]) != snapFooter {
-		return nil, nil, corrupt("bad footer")
-	}
-
-	// The three payload sections are independent byte ranges; decode them
-	// concurrently — recovery latency is the point of snapshots, and the
-	// records and columns sections are each megabytes at bench scale. The
-	// columns goroutine is not joined here; wait exposes it.
-	var recErr, blobErr, colErr error
-	var wg sync.WaitGroup
-	wg.Add(2)
-	colDone := make(chan struct{})
-	go func() {
-		defer wg.Done()
-		if recErr = checkSection(secRecords, payloads[secRecords], crcs[secRecords]); recErr != nil {
-			return
-		}
-		records, err := decodeRecordsSection(payloads[secRecords], numRecords)
-		if err != nil {
-			recErr = corrupt("records: %v", err)
-			return
-		}
-		data.records = records
-	}()
-	go func() {
-		defer wg.Done()
-		if blobErr = checkSection(secBlobs, payloads[secBlobs], crcs[secBlobs]); blobErr != nil {
-			return
-		}
-		data.blobs, blobErr = decodeBlobsSection(payloads[secBlobs], numBlobs)
-	}()
-	go func() {
-		defer close(colDone)
-		for _, id := range colSections {
-			if colErr = checkSection(id, payloads[id], crcs[id]); colErr != nil {
-				return
-			}
-		}
-		if version == snapVersionPaged {
-			metas, err := decodeColMetaSection(payloads[secColMeta], numColumns, uint64(len(payloads[secColPages])))
-			if err == nil {
-				data.columns, err = assembleColumnsEager(metas, payloads[secColPages])
-			}
-			colErr = err
-			return
-		}
-		cd := &decoder{buf: payloads[secColumns]}
-		if n := cd.count(16); cd.err == nil && n != numColumns {
-			cd.fail("column count %d disagrees with header %d", n, numColumns)
-		}
-		data.columns = make([]query.ColumnData, 0, numColumns)
-		for i := 0; i < numColumns && cd.err == nil; i++ {
-			data.columns = append(data.columns, decodeColumn(cd))
-		}
-		if cd.err == nil && cd.remaining() != 0 {
-			cd.fail("trailing bytes")
-		}
-		if cd.err != nil {
-			colErr = corrupt("columns: %v", cd.err)
-		}
-	}()
-	wait := func() error {
-		<-colDone
-		return colErr
-	}
-	wg.Wait()
-	for _, err := range []error{recErr, blobErr} {
-		if err != nil {
-			// Join the columns goroutine before the caller discards data —
-			// nothing may still be writing into a snapshot we reject.
-			_ = wait()
-			return nil, nil, err
-		}
-	}
-	return data, wait, nil
-}
-
-// decodeBlobsSection decodes the blob map (shared by the eager and lazy
-// loaders; the caller has already verified the section checksum).
+// decodeBlobsSection decodes the blob map (the caller has already verified
+// the section checksum).
 func decodeBlobsSection(payload []byte, numBlobs int) (map[appmeta.Key][]byte, error) {
 	bd := &decoder{buf: payload}
 	if n := bd.count(12); bd.err == nil && n != numBlobs {
@@ -655,66 +469,6 @@ func decodeBlobsSection(payload []byte, numBlobs int) (map[appmeta.Key][]byte, e
 		return nil, corrupt("blobs: %v", bd.err)
 	}
 	return blobs, nil
-}
-
-// String-layout tags inside a column record.
-const (
-	strLayoutPlain = 0
-	strLayoutDict  = 1
-)
-
-func decodeColumn(d *decoder) query.ColumnData {
-	c := query.ColumnData{Name: d.str(), Kind: query.Kind(d.str())}
-	c.NullWords = d.u64s(d.count(8))
-	c.NullCount = int(d.u64())
-	c.HasNaN = d.bool()
-	switch c.Kind {
-	case query.KindInt:
-		c.Ints = d.i64s(d.count(8))
-	case query.KindFloat:
-		c.Floats = d.f64s(d.count(8))
-	case query.KindBool:
-		c.Bools = d.bools(d.count(1))
-	case query.KindTime:
-		n := d.count(16)
-		c.TimeSec = d.i64s(n)
-		c.TimeNsec = d.i32s(n)
-		c.TimeOff = d.i32s(n)
-	case query.KindString:
-		switch d.u8() {
-		case strLayoutDict:
-			c.Dict = d.strsPlane(d.count(4))
-			if c.Dict == nil && d.err == nil {
-				c.Dict = []string{}
-			}
-			c.Codes = d.u32s(d.count(4))
-		case strLayoutPlain:
-			c.Strs = d.strsPlane(d.count(4))
-		default:
-			d.fail("durable: unknown string layout")
-		}
-	default:
-		d.fail("durable: unknown column kind %q", c.Kind)
-	}
-	c.SegmentRows = int(d.u32())
-	nz := d.count(16)
-	c.Zones = make([]query.ZoneData, 0, nz)
-	for i := 0; i < nz && d.err == nil; i++ {
-		c.Zones = append(c.Zones, query.ZoneData{
-			Rows: d.i32(), Nulls: d.i32(), MinRow: d.i32(), MaxRow: d.i32(),
-		})
-	}
-	if len(c.Zones) == 0 {
-		c.Zones = nil
-	}
-	if d.bool() {
-		n := d.count(4)
-		c.Postings = make([][]int32, 0, n)
-		for i := 0; i < n && d.err == nil; i++ {
-			c.Postings = append(c.Postings, d.i32s(d.count(4)))
-		}
-	}
-	return c
 }
 
 // writeSnapshot persists one snapshot and returns its final path.
@@ -756,25 +510,6 @@ func writeSnapshotFile(fsys FS, dir, name string, secs []section) (string, error
 		return "", fmt.Errorf("durable: sync snapshot dir: %w", err)
 	}
 	return final, nil
-}
-
-// loadSnapshotFile reads and fully decodes one snapshot file.
-func loadSnapshotFile(fsys FS, path string) (*snapshotData, error) {
-	buf, err := readWhole(fsys, path)
-	if err != nil {
-		return nil, fmt.Errorf("durable: read snapshot: %w", err)
-	}
-	return decodeSnapshot(buf)
-}
-
-// loadSnapshotFileOverlap is loadSnapshotFile with the columns section left
-// decoding in the background; see decodeSnapshotOverlap.
-func loadSnapshotFileOverlap(fsys FS, path string) (*snapshotData, func() error, error) {
-	buf, err := readWhole(fsys, path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("durable: read snapshot: %w", err)
-	}
-	return decodeSnapshotOverlap(buf)
 }
 
 // joinPath joins with forward slashes — both the OS filesystem (on the

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -85,104 +86,38 @@ func encodeSnapshot(data *snapshotData) []byte {
 	return buf.Bytes()
 }
 
-// encodeSnapshotV1 writes the legacy version-1 layout — one columns section
-// in place of column metadata and pages — for the dual-read tests.
-func encodeSnapshotV1(data *snapshotData) []byte {
-	var cols encoder
-	cols.u32(uint32(len(data.columns)))
-	for i := range data.columns {
-		encodeColumn(&cols, &data.columns[i])
-	}
-	var buf bytes.Buffer
-	err := writeSections(&buf, []section{
-		headerSection(data, snapVersion),
-		recordsSection(data.records),
-		blobsSection(data.blobs),
-		{id: secColumns, size: uint64(len(cols.buf)), emit: func(sw *sectionWriter) { sw.raw(cols.buf) }},
-		footerSection,
-	})
+// loadFull is the full load a materialized store recovers with: the one
+// sectioned open, then every column read and decoded through the fetcher,
+// checking every checksum the file carries.
+func loadFull(fsys FS, path string) (*snapshotData, error) {
+	lz, err := openSnapshot(fsys, path)
 	if err != nil {
-		panic(err)
+		return nil, err
 	}
-	return buf.Bytes()
+	data := &snapshotData{cursor: lz.cursor, crawlTime: lz.crawlTime, records: lz.records, blobs: lz.blobs}
+	if lz.fetcher != nil {
+		if data.columns, err = lz.fetcher.loadColumns(); err != nil {
+			return nil, err
+		}
+	}
+	return data, nil
 }
 
-func encodeColumn(e *encoder, c *query.ColumnData) {
-	e.str(c.Name)
-	e.str(string(c.Kind))
-	e.u32(uint32(len(c.NullWords)))
-	for _, w := range c.NullWords {
-		e.u64(w)
+// loadBytes writes b as the snapshot file dir/case.snap and full-loads it.
+func loadBytes(t testing.TB, dir string, b []byte) (*snapshotData, error) {
+	t.Helper()
+	path := dir + "/case.snap"
+	if err := os.WriteFile(path, b, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	e.u64(uint64(c.NullCount))
-	e.bool(c.HasNaN)
-	switch c.Kind {
-	case query.KindInt:
-		e.u32(uint32(len(c.Ints)))
-		for _, v := range c.Ints {
-			e.i64(v)
-		}
-	case query.KindFloat:
-		e.u32(uint32(len(c.Floats)))
-		for _, v := range c.Floats {
-			e.f64(v)
-		}
-	case query.KindBool:
-		e.u32(uint32(len(c.Bools)))
-		for _, v := range c.Bools {
-			e.bool(v)
-		}
-	case query.KindTime:
-		// Planar: all seconds, then all nanoseconds, then all offsets, so the
-		// decoder reads three bulk slices instead of framing per row.
-		e.u32(uint32(len(c.TimeSec)))
-		for _, v := range c.TimeSec {
-			e.i64(v)
-		}
-		for _, v := range c.TimeNsec {
-			e.i32(v)
-		}
-		for _, v := range c.TimeOff {
-			e.i32(v)
-		}
-	case query.KindString:
-		if c.Dict != nil {
-			e.u8(strLayoutDict)
-			e.strsPlane(c.Dict)
-			e.u32(uint32(len(c.Codes)))
-			for _, v := range c.Codes {
-				e.u32(v)
-			}
-		} else {
-			e.u8(strLayoutPlain)
-			e.strsPlane(c.Strs)
-		}
-	}
-	e.u32(uint32(c.SegmentRows))
-	e.u32(uint32(len(c.Zones)))
-	for _, z := range c.Zones {
-		e.i32(z.Rows)
-		e.i32(z.Nulls)
-		e.i32(z.MinRow)
-		e.i32(z.MaxRow)
-	}
-	e.bool(c.Postings != nil)
-	if c.Postings != nil {
-		e.u32(uint32(len(c.Postings)))
-		for _, rows := range c.Postings {
-			e.u32(uint32(len(rows)))
-			for _, r := range rows {
-				e.i32(r)
-			}
-		}
-	}
+	return loadFull(OSFS, path)
 }
 
 func TestSnapshotCodecRoundTrip(t *testing.T) {
 	want := testSnapshotData()
-	got, err := decodeSnapshot(encodeSnapshot(want))
+	got, err := loadBytes(t, t.TempDir(), encodeSnapshot(want))
 	if err != nil {
-		t.Fatalf("decode: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if got.cursor != want.cursor || !got.crawlTime.Equal(want.crawlTime) {
 		t.Fatalf("header mismatch: %d/%v", got.cursor, got.crawlTime)
@@ -198,26 +133,35 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotEveryFlipDetected flips every byte of an encoded snapshot (and
-// truncates at every length) and requires a clean decode error each time —
-// the per-section checksums and footer leave no undetectable single-byte
-// corruption.
+// TestSnapshotEveryFlipDetected flips every byte of a snapshot file (and
+// truncates it at every length) and requires the full load to fail cleanly
+// each time — the section, page and pages-section checksums and the footer
+// leave no undetectable single-byte corruption.
 func TestSnapshotEveryFlipDetected(t *testing.T) {
-	full := encodeSnapshot(testSnapshotData())
+	requireEveryFlipDetected(t, encodeSnapshot(testSnapshotData()))
+}
+
+// requireEveryFlipDetected full-loads every single-byte flip, every
+// truncation and a trailing byte of the snapshot full, and requires each to
+// fail. The flips span the pages section's trailer, which only the full load
+// reads.
+func requireEveryFlipDetected(t *testing.T, full []byte) {
+	t.Helper()
+	dir := t.TempDir()
 	for i := range full {
 		mut := append([]byte(nil), full...)
 		mut[i] ^= 0x5a
-		if _, err := decodeSnapshot(mut); err == nil {
-			t.Fatalf("flip at byte %d decoded cleanly", i)
+		if _, err := loadBytes(t, dir, mut); err == nil {
+			t.Fatalf("flip at byte %d loaded cleanly", i)
 		}
 	}
 	for cut := 0; cut < len(full); cut++ {
-		if _, err := decodeSnapshot(full[:cut]); err == nil {
-			t.Fatalf("truncation at %d decoded cleanly", cut)
+		if _, err := loadBytes(t, dir, full[:cut]); err == nil {
+			t.Fatalf("truncation at %d loaded cleanly", cut)
 		}
 	}
-	if _, err := decodeSnapshot(append(full, 0)); err == nil {
-		t.Fatal("trailing byte decoded cleanly")
+	if _, err := loadBytes(t, dir, append(full, 0)); err == nil {
+		t.Fatal("trailing byte loaded cleanly")
 	}
 }
 
@@ -231,7 +175,7 @@ func TestSnapshotWriteLoad(t *testing.T) {
 	if got := snapshotName(want.cursor); path != dir+"/"+got {
 		t.Fatalf("path %q, want suffix %q", path, got)
 	}
-	got, err := loadSnapshotFile(OSFS, path)
+	got, err := loadFull(OSFS, path)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
@@ -252,7 +196,7 @@ func TestSnapshotWriteLoad(t *testing.T) {
 	if err := os.WriteFile(path, blob, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := loadSnapshotFile(OSFS, path); !errors.Is(err, ErrSnapshotCorrupt) {
+	if _, err := loadFull(OSFS, path); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("corrupt load err = %v", err)
 	}
 }
@@ -315,28 +259,66 @@ func FuzzWALReplay(f *testing.F) {
 	})
 }
 
+// FuzzSnapshotLoad and FuzzPagedFetch run arbitrary bytes through the one
+// snapshot reader with the same check, checkSnapshotReader; they differ only
+// in their seeds. FuzzSnapshotLoad starts from single-page files and bare
+// headers.
 func FuzzSnapshotLoad(f *testing.F) {
 	f.Add(encodeSnapshot(testSnapshotData()))
 	f.Add(encodeSnapshot(&snapshotData{}))
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Arbitrary bytes must decode to a valid snapshot or a clean error —
-		// never a panic, never an implausible allocation.
-		data2, err := decodeSnapshot(data)
-		if err == nil {
-			// Whatever decoded must stream back out through the writer and
-			// decode to the same thing (the format is canonical for valid
-			// states).
-			again, err := decodeSnapshot(encodeSnapshot(data2))
-			if err != nil {
-				t.Fatalf("re-encode of valid snapshot failed: %v", err)
-			}
-			if !reflect.DeepEqual(again, data2) {
-				t.Fatalf("re-encoded snapshot decodes differently:\n got %+v\nwant %+v", again, data2)
-			}
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) { checkSnapshotReader(t, dir, data) })
+}
+
+// FuzzPagedFetch starts from files whose columns span several page frames
+// (pageRows 2 encodings) and from a version-1 header, which the reader
+// refuses.
+func FuzzPagedFetch(f *testing.F) {
+	f.Add(encodeSnapshot(multiPageSnapshotData()))
+	f.Add(patchHeaderVersion(encodeSnapshot(testSnapshotData()), 1))
+	f.Add(encodeSnapshot(&snapshotData{}))
+	old := pageRows
+	pageRows = 2
+	f.Add(encodeSnapshot(multiPageSnapshotData()))
+	f.Add(encodeSnapshot(testSnapshotData()))
+	pageRows = old
+	dir := f.TempDir()
+	f.Fuzz(func(t *testing.T, data []byte) { checkSnapshotReader(t, dir, data) })
+}
+
+// checkSnapshotReader loads data in full. Whatever the full load accepts must
+// re-encode through the streamed writer and load back identically, and each
+// column fetched lazily from the same file must equal the full load's.
+// Anything else must fail cleanly: no input may panic or drive an
+// implausible allocation.
+func checkSnapshotReader(t *testing.T, dir string, data []byte) {
+	got, err := loadBytes(t, dir, data)
+	if err != nil {
+		return
+	}
+	lz, err := openSnapshot(OSFS, dir+"/case.snap")
+	if err != nil {
+		t.Fatalf("reopen of a loaded snapshot: %v", err)
+	}
+	for _, wc := range got.columns {
+		fetched, err := lz.fetcher.FetchColumn(context.Background(), wc.Name)
+		if err != nil {
+			t.Fatalf("fetch %q: %v", wc.Name, err)
 		}
-	})
+		if !reflect.DeepEqual(*fetched, wc) {
+			t.Fatalf("column %q: lazy fetch diverges from the full load:\n got %+v\nwant %+v", wc.Name, *fetched, wc)
+		}
+	}
+	// The format is canonical for valid states.
+	again, err := loadBytes(t, dir, encodeSnapshot(got))
+	if err != nil {
+		t.Fatalf("re-encode of a loaded snapshot failed to load: %v", err)
+	}
+	if !reflect.DeepEqual(again, got) {
+		t.Fatalf("re-encoded snapshot loads differently:\n got %+v\nwant %+v", again, got)
+	}
 }
 
 // TestSnapshotGoldenBytes pins the version-2 bytes the writer produces: a

@@ -72,10 +72,13 @@ type Store struct {
 
 	// pool is the column page pool when Options.PageBudget enabled paging,
 	// nil otherwise. servedDS tracks the dataset epoch most recently published
-	// so an epoch swap can retire the outgoing engine's pages.
+	// so an epoch swap can retire the outgoing engine's pages. pagedGen is
+	// the path of the generation the served paged engine reads, "" once that
+	// engine is retired; pruning keeps that file.
 	pool     *query.PagePool
 	servedMu sync.Mutex
 	servedDS *analysis.Dataset
+	pagedGen string
 
 	snapMu    sync.Mutex // serializes snapshot writes and the cadence counter
 	sinceSnap int
@@ -263,10 +266,12 @@ func (s *Store) recover(ingOpts ingest.Options, scan walScanInfo) error {
 			s.noteServed(nil)
 		}
 		if errors.Is(err, ErrSnapshotVersion) {
-			// Written by a newer binary — not corrupt, just unreadable here.
-			// Leave the file exactly as found (a quarantine rename would
-			// destroy the newer binary's data) and fall back to an older
-			// generation or the WAL. Nothing of the file was adopted.
+			// Version 1 or a newer binary's format — not corrupt, just not
+			// read by this build. Leave the file exactly as found (a
+			// quarantine rename would destroy a newer binary's data) and fall
+			// back to an older generation or the WAL. Nothing of the file was
+			// adopted, and no acked delta is lost while the WAL is never
+			// truncated.
 			continue
 		}
 		if qerr := s.quarantine(name); qerr != nil {
@@ -285,65 +290,60 @@ func (s *Store) recover(ingOpts ingest.Options, scan walScanInfo) error {
 }
 
 // loadSnapshot restores an ingestor (and its dataset's column store) from one
-// snapshot file. With paging enabled and a version-2 file, the columns stay
-// on disk: only records, blobs and column metadata are read eagerly, and the
-// installed engine pages value planes in through the store's pool. Version-1
-// files — and all files when paging is off — load eagerly and fully
+// snapshot file, opened by openSnapshot in both modes. With paging enabled
+// the columns stay on disk, and the installed engine pages value planes in
+// through the store's pool. Otherwise every column is read and decoded while
+// the ingestor is rebuilt from records+blobs — the two longest phases of
+// recovery overlap instead of running back to back — and installed fully
 // materialized. Returns the snapshot's cursor alongside the ingestor.
 func (s *Store) loadSnapshot(ingOpts ingest.Options, path string) (*ingest.Ingestor, uint64, error) {
-	if s.pool != nil {
-		lz, err := openSnapshotLazy(s.fsys, path)
-		switch {
-		case err == nil:
-			ing, err := ingest.Restore(ingOpts, lz.cursor, lz.records, analysis.APKBytesOf(lz.blobs))
-			if err != nil {
-				return nil, 0, err
-			}
-			ds := ing.Dataset()
-			if ds == nil && lz.fetcher != nil {
-				return nil, 0, fmt.Errorf("%w: columns without records", ErrSnapshotCorrupt)
-			}
-			if ds != nil && lz.fetcher != nil {
-				if err := ds.InstallPagedQueryColumns(lz.fetcher, s.pool); err != nil {
-					return nil, 0, err
-				}
-			}
-			return ing, lz.cursor, nil
-		case errors.Is(err, errSnapshotNotPaged):
-			// A version-1 file has no page table; fall through to the eager
-			// loader below.
-		default:
-			return nil, 0, err
-		}
-	}
-	// The columns section keeps decoding in the background while the ingestor
-	// is rebuilt from records+blobs — the two longest phases of recovery
-	// overlap instead of running back to back.
-	data, waitCols, err := loadSnapshotFileOverlap(s.fsys, path)
+	lz, err := openSnapshot(s.fsys, path)
 	if err != nil {
 		return nil, 0, err
 	}
-	ing, err := ingest.Restore(ingOpts, data.cursor, data.records, analysis.APKBytesOf(data.blobs))
-	if cerr := waitCols(); err == nil {
+	var cols []query.ColumnData
+	colsErr := make(chan error, 1)
+	if lz.fetcher != nil && s.pool == nil {
+		go func() {
+			var err error
+			cols, err = lz.fetcher.loadColumns()
+			colsErr <- err
+		}()
+	} else {
+		colsErr <- nil
+	}
+	ing, err := ingest.Restore(ingOpts, lz.cursor, lz.records, analysis.APKBytesOf(lz.blobs))
+	if cerr := <-colsErr; err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return nil, 0, err
 	}
-	if ing.Dataset() != nil {
-		if err := ing.Dataset().InstallQueryColumns(data.columns); err != nil {
+	ds := ing.Dataset()
+	switch {
+	case lz.fetcher == nil: // no columns to install
+	case ds == nil:
+		return nil, 0, fmt.Errorf("%w: columns without records", ErrSnapshotCorrupt)
+	case s.pool != nil:
+		if err := ds.InstallPagedQueryColumns(lz.fetcher, s.pool); err != nil {
 			return nil, 0, err
 		}
-	} else if len(data.columns) > 0 {
-		return nil, 0, fmt.Errorf("%w: columns without records", ErrSnapshotCorrupt)
+		s.servedMu.Lock()
+		s.pagedGen = path
+		s.servedMu.Unlock()
+	default:
+		if err := ds.InstallQueryColumns(cols); err != nil {
+			return nil, 0, err
+		}
 	}
-	return ing, data.cursor, nil
+	return ing, lz.cursor, nil
 }
 
 // noteServed records ds as the epoch currently served and retires the
 // previous epoch's engine from the page pool — resident columns evict,
 // pinned ones when their in-flight scans finish. A no-op when paging is
-// disabled.
+// disabled. Recovery installs a paged engine only while nothing is served,
+// so the epoch retired here is the one pagedGen names, if any.
 func (s *Store) noteServed(ds *analysis.Dataset) {
 	if s.pool == nil {
 		return
@@ -351,8 +351,12 @@ func (s *Store) noteServed(ds *analysis.Dataset) {
 	s.servedMu.Lock()
 	prev := s.servedDS
 	s.servedDS = ds
+	retire := prev != nil && prev != ds
+	if retire {
+		s.pagedGen = ""
+	}
 	s.servedMu.Unlock()
-	if prev != nil && prev != ds {
+	if retire {
 		prev.DropPagedColumns()
 	}
 }
@@ -507,17 +511,21 @@ func (s *Store) WriteSnapshot() error {
 }
 
 // pruneSnapshots removes generations beyond KeepSnapshots (best effort;
-// quarantined *.corrupt files are kept for inspection).
+// quarantined *.corrupt files are kept for inspection), except the one the
+// served paged engine reads: deltas that add no rows keep that engine while
+// they advance the cursor.
 func (s *Store) pruneSnapshots() {
 	names := s.snapshotNames()
 	if len(names) <= s.opts.KeepSnapshots {
 		return
 	}
+	s.servedMu.Lock()
+	paged := s.pagedGen
+	s.servedMu.Unlock()
 	for _, name := range names[s.opts.KeepSnapshots:] {
-		if strings.HasSuffix(name, corruptSuffix) {
-			continue
+		if path := joinPath(s.dir, name); path != paged {
+			_ = s.fsys.Remove(path)
 		}
-		_ = s.fsys.Remove(joinPath(s.dir, name))
 	}
 	_ = s.fsys.SyncDir(s.dir)
 }
