@@ -300,17 +300,6 @@ func appFieldRegistry(d *Dataset) *query.Registry[*App] {
 	return r
 }
 
-// QueryBaseline returns a fresh query engine over the same listings and
-// field registry as QuerySource but with the compressed column layout
-// (dictionary encoding, bitmap posting lists, zone maps) disabled — the
-// planner and indexes of the pre-compression engine. Results are
-// bit-identical to QuerySource's; the benchmarks use it to measure what the
-// compressed layout buys. Unlike QuerySource the engine is not cached:
-// production code has no reason to call this.
-func (d *Dataset) QueryBaseline() query.Source {
-	return query.NewEngineUncompressed(appFieldRegistry(d), d.Apps)
-}
-
 // CountMatching runs a count-only scan: the number of listings passing the
 // filters, without materializing more than one row. It is the cheapest way
 // for programmatic consumers to ask "how many listings look like X" through

@@ -18,9 +18,9 @@ var errScaledNoAPK = errors.New("analysis: scaled corpus has no APKs")
 // NewScaledDataset materializes a metadata-only dataset from the streaming
 // scale generator: cfg.Rows listings with full market metadata but no APK
 // bytes, parsed artifacts or enrichment. It is the fixture of the scaling
-// benchmarks (100k–1M rows) — QuerySource, QueryBaseline, Aggregate and the
-// metadata analyses all work on it; apk- and enrichment-category fields are
-// null on every row.
+// benchmarks (100k–1M rows) — QuerySource, Aggregate and the metadata
+// analyses all work on it; apk- and enrichment-category fields are null on
+// every row.
 //
 // Generation is streamed: only the final []*App accumulates, one compact
 // record per listing, never the generator's intermediate state.

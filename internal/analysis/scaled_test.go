@@ -103,29 +103,33 @@ func TestScaledDatasetDeterministicAndPrefix(t *testing.T) {
 
 // TestScaledDatasetQueryEquivalence runs dictionary-, bitmap- and zone-map-
 // shaped queries plus a grouped aggregate over a scaled corpus through the
-// compressed engine, the uncompressed baseline and the oracle — the scaled
-// rows must not open any daylight between the three.
+// production engine and the oracle — the scaled rows must not open any
+// daylight between the two — and checks that the dictionary shapes plan the
+// production registry's bitmap posting lists.
 func TestScaledDatasetQueryEquivalence(t *testing.T) {
 	d, err := NewScaledDataset(synth.ScaleConfig{Seed: 5, Rows: 3000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := d.QuerySource()
-	base := d.QueryBaseline()
 	oracle := src.(query.OracleSource)
 
-	for _, q := range []query.Query{
-		{Fields: []string{"package", "market"},
+	for _, tc := range []struct {
+		q     query.Query
+		index string // the plan Explain must name; "" for none
+	}{
+		{query.Query{Fields: []string{"package", "market"},
 			Filters: []query.Filter{{Field: "market", Op: query.OpEq, Value: "Tencent Myapp"}},
-			Sort:    []query.SortKey{{Field: "package"}}, Limit: 40},
-		{Fields: []string{"package", "market_category"},
+			Sort:    []query.SortKey{{Field: "package"}}, Limit: 40}, "bitmap(market)"},
+		{query.Query{Fields: []string{"package", "market_category"},
 			Filters: []query.Filter{{Field: "market_category", Op: query.OpIn,
 				Value: []any{"Unclassified", "102229", "Online Game"}}},
-			Sort: []query.SortKey{{Field: "package"}}, Limit: 40},
-		{Fields: []string{"package", "release_date"},
+			Sort: []query.SortKey{{Field: "package"}}, Limit: 40}, "bitmap(market_category)"},
+		{query.Query{Fields: []string{"package", "release_date"},
 			Filters: []query.Filter{{Field: "release_date", Op: query.OpLt, Value: "2016-02-01T00:00:00Z"}},
-			Sort:    []query.SortKey{{Field: "release_date"}}, Limit: 40},
+			Sort:    []query.SortKey{{Field: "release_date"}}, Limit: 40}, ""},
 	} {
+		q := tc.q
 		planned, err := src.Scan(q)
 		if err != nil {
 			t.Fatalf("planned scan: %v", err)
@@ -134,19 +138,18 @@ func TestScaledDatasetQueryEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("oracle scan: %v", err)
 		}
-		uncompressed, err := base.Scan(q)
-		if err != nil {
-			t.Fatalf("baseline scan: %v", err)
-		}
 		pj, _ := json.Marshal(planned.Rows)
 		wj, _ := json.Marshal(want.Rows)
-		uj, _ := json.Marshal(uncompressed.Rows)
-		if !bytes.Equal(pj, wj) || !bytes.Equal(uj, wj) {
-			t.Fatalf("scan diverges on scaled corpus (%+v):\nplanned  %s\nbaseline %s\noracle   %s",
-				q.Filters, pj, uj, wj)
+		if !bytes.Equal(pj, wj) {
+			t.Fatalf("scan diverges on scaled corpus (%+v):\nplanned %s\noracle  %s", q.Filters, pj, wj)
 		}
 		if planned.Meta.TotalMatched == 0 {
 			t.Fatalf("query %+v matched nothing — not probative", q.Filters)
+		}
+		if tc.index != "" {
+			if ex := planned.Meta.Explain; ex == nil || ex.IndexUsed != tc.index {
+				t.Fatalf("query %+v planned %+v, want index %s", q.Filters, ex, tc.index)
+			}
 		}
 	}
 
@@ -167,14 +170,9 @@ func TestScaledDatasetQueryEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("oracle aggregate: %v", err)
 	}
-	uncompressed, err := base.(query.AggregateSource).Aggregate(agg)
-	if err != nil {
-		t.Fatalf("baseline aggregate: %v", err)
-	}
 	pj, _ := json.Marshal(planned.Rows)
 	wj, _ := json.Marshal(want.Rows)
-	uj, _ := json.Marshal(uncompressed.Rows)
-	if !bytes.Equal(pj, wj) || !bytes.Equal(uj, wj) {
-		t.Fatalf("aggregate diverges on scaled corpus:\nplanned  %s\nbaseline %s\noracle   %s", pj, uj, wj)
+	if !bytes.Equal(pj, wj) {
+		t.Fatalf("aggregate diverges on scaled corpus:\nplanned %s\noracle  %s", pj, wj)
 	}
 }

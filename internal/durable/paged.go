@@ -145,11 +145,23 @@ func planPagedColumns(cols []query.ColumnData) ([]pagedColumn, uint64) {
 	return metas, pagesLen
 }
 
-// pagePayloadLen is the exact length encodePage gives rows [lo,hi): fixed
-// widths per kind, and count + lengths + bytes for plain strings.
+// pagePayloadLen is the exact length encodePage gives rows [lo,hi):
+// pageLenFloor, plus the value bytes of plain strings.
 func pagePayloadLen(cd *query.ColumnData, lo, hi int) uint32 {
-	n := uint32(hi - lo)
-	switch cd.Kind {
+	size := pageLenFloor(cd.Kind, cd.Dict != nil, uint64(hi-lo))
+	if cd.Kind == query.KindString && cd.Dict == nil {
+		for _, s := range cd.Strs[lo:hi] {
+			size += uint64(len(s))
+		}
+	}
+	return uint32(size)
+}
+
+// pageLenFloor is the length encodePage gives n rows, not counting a plain
+// string column's value bytes: fixed widths per kind, 4-byte codes for
+// dictionary strings, and count + lengths for plain ones.
+func pageLenFloor(kind query.Kind, dict bool, n uint64) uint64 {
+	switch kind {
 	case query.KindInt, query.KindFloat:
 		return 8 * n
 	case query.KindBool:
@@ -157,14 +169,10 @@ func pagePayloadLen(cd *query.ColumnData, lo, hi int) uint32 {
 	case query.KindTime:
 		return 16 * n
 	case query.KindString:
-		if cd.Dict != nil {
+		if dict {
 			return 4 * n
 		}
-		size := 4 + 4*n
-		for _, s := range cd.Strs[lo:hi] {
-			size += uint32(len(s))
-		}
-		return size
+		return 4 + 4*n
 	}
 	return 0
 }
@@ -389,9 +397,10 @@ func colMetaSection(metas []pagedColumn) section {
 
 // decodeColMetaSection decodes and structurally validates the column
 // metadata, including every page-table entry against the pages-section
-// length — a fetch must never be pointed outside the section. Value-level
-// validation (bitmap population, dictionary order, zone invariants) stays
-// where it always was: query's import, run on every fetched column.
+// length — a fetch must never be pointed outside the section — and its
+// payload length against its rows. Value-level validation (bitmap
+// population, dictionary order, zone invariants) stays where it always
+// was: query's import, run on every fetched column.
 func decodeColMetaSection(payload []byte, numColumns int, pagesLen uint64) ([]pagedColumn, error) {
 	d := &decoder{buf: payload}
 	if n := d.count(32); d.err == nil && n != numColumns {
@@ -466,6 +475,15 @@ func decodeColMetaSection(payload []byte, numColumns int, pagesLen uint64) ([]pa
 			}
 			if entry.rows == 0 {
 				d.fail("column %q: page %d holds no rows", cd.Name, p)
+				break
+			}
+			// A page's length must be what its rows imply, so the planes the
+			// column's rows size before any page is read are bounded by the
+			// bytes its pages hold.
+			floor := pageLenFloor(cd.Kind, m.layout == strLayoutDict, uint64(entry.rows))
+			plain := cd.Kind == query.KindString && m.layout == strLayoutPlain
+			if length := uint64(entry.length); length < floor || (!plain && length != floor) {
+				d.fail("column %q: page %d holds %d bytes for %d rows", cd.Name, p, entry.length, entry.rows)
 				break
 			}
 			prevEnd = end

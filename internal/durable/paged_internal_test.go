@@ -7,6 +7,7 @@ package durable
 // quarantined, never partially adopted).
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -402,6 +403,44 @@ func TestSnapshotSectionLengthPastEOF(t *testing.T) {
 	}
 	if a := after.TotalAlloc - before.TotalAlloc; a > 1<<20 {
 		t.Fatalf("refusing the file allocated %d bytes", a)
+	}
+}
+
+// TestSnapshotPageRowsPastPageLength writes a file whose checksummed column
+// metadata claims 2^27 rows for its first column, on the one 24-byte page
+// that holds its 3 values: the open must refuse the file as corrupt before
+// that row count sizes a plane, so neither the full load nor a paged fetch
+// allocates for it.
+func TestSnapshotPageRowsPastPageLength(t *testing.T) {
+	data := testSnapshotData()
+	metas, pagesLen := planPagedColumns(data.columns)
+	lying := append([]pagedColumn(nil), metas...)
+	lying[0].rows = 1 << 27
+	lying[0].pages = []pageEntry{{off: metas[0].pages[0].off, length: metas[0].pages[0].length, rows: 1 << 27}}
+	var buf bytes.Buffer
+	if err := writeSections(&buf, []section{
+		headerSection(data, snapVersionPaged),
+		recordsSection(data.records),
+		blobsSection(data.blobs),
+		colMetaSection(lying),
+		pagesSection(data.columns, metas, pagesLen),
+		footerSection,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := loadBytes(t, dir, buf.Bytes())
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("page rows past the page length: full load err = %v", err)
+	}
+	if a := after.TotalAlloc - before.TotalAlloc; a > 1<<20 {
+		t.Fatalf("refusing the file allocated %d bytes", a)
+	}
+	if _, err := openSnapshot(OSFS, dir+"/case.snap"); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("page rows past the page length: open err = %v", err)
 	}
 }
 

@@ -814,6 +814,56 @@ func TestStoreSkipsFutureSnapshotGeneration(t *testing.T) {
 	}
 }
 
+// TestPruneCountsReadableGenerations rolls a store back beside two
+// generations of a newer build at higher cursors and writes a snapshot per
+// delta: pruning must keep both unread files, which it may never count
+// among the generations it keeps, and the store's own two newest
+// generations, so the reopen recovers from the newest and replays no WAL
+// record.
+func TestPruneCountsReadableGenerations(t *testing.T) {
+	ds, crawlTime := deltas(t)
+	n := uint64(len(ds))
+	snap := func(cursor uint64) string { return fmt.Sprintf("snap-%016x.snap", cursor) }
+	fs := errfs.New()
+	s := openStore(t, storeOpts(fs, crawlTime))
+	applyAll(t, s, ds[:n-2])
+	s.Close()
+	future := append([]byte("MSNAP009"), bytes.Repeat([]byte{0xee}, 200)...)
+	for _, cursor := range []uint64{n + 10, n + 11} {
+		if err := fs.WriteFile("data/"+snap(cursor), future); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	opts := storeOpts(fs, crawlTime)
+	opts.SnapshotEvery = 1
+	s2 := openStore(t, opts)
+	applyAll(t, s2, ds[n-2:])
+	if err := s2.Err(); err != nil {
+		t.Fatalf("cadence snapshot: %v", err)
+	}
+	s2.Close()
+	names, err := fs.ReadDir("data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{snap(n + 11), snap(n + 10), snap(n), snap(n - 1)} {
+		if !contains(names, want) {
+			t.Fatalf("%s pruned; the dir holds %v", want, names)
+		}
+	}
+
+	s3 := openStore(t, storeOpts(fs, crawlTime))
+	defer s3.Close()
+	if g := s3.Metrics().LastSnapshotGeneration.Load(); g != n {
+		t.Fatalf("recovered from generation %d, want %d", g, n)
+	}
+	if r := s3.Metrics().WALRecordsReplayed.Load(); r != 0 {
+		t.Fatalf("reopen replayed %d WAL records, want 0", r)
+	}
+	requireSameState(t, sourceOf(s3), oracleSource(t, n))
+}
+
 // TestStoreRefusesFutureWAL patches the WAL magic to a newer version: Open
 // must fail with ErrWALVersion — refusing to repair, truncate or rename a
 // newer binary's log — and leave the file byte-identical.

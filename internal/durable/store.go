@@ -84,6 +84,10 @@ type Store struct {
 	sinceSnap int
 	snapErr   error // last automatic snapshot failure, for Err()
 
+	// unread holds the paths of the generations recover refused with
+	// ErrSnapshotVersion; pruning does not count them as kept generations.
+	unread map[string]bool
+
 	closeOnce sync.Once
 	stopSync  chan struct{}
 	syncDone  chan struct{}
@@ -116,6 +120,7 @@ func Open(opts Options) (*Store, error) {
 		walPath: joinPath(opts.Dir, walFileName),
 		opts:    opts,
 		m:       opts.Metrics,
+		unread:  map[string]bool{},
 	}
 	if s.fsys == nil {
 		s.fsys = OSFS
@@ -272,6 +277,7 @@ func (s *Store) recover(ingOpts ingest.Options, scan walScanInfo) error {
 			// back to an older generation or the WAL. Nothing of the file was
 			// adopted, and no acked delta is lost while the WAL is never
 			// truncated.
+			s.unread[path] = true
 			continue
 		}
 		if qerr := s.quarantine(name); qerr != nil {
@@ -510,10 +516,13 @@ func (s *Store) WriteSnapshot() error {
 	return nil
 }
 
-// pruneSnapshots removes generations beyond KeepSnapshots (best effort;
-// quarantined *.corrupt files are kept for inspection), except the one the
-// served paged engine reads: deltas that add no rows keep that engine while
-// they advance the cursor.
+// pruneSnapshots removes, best effort, every generation that KeepSnapshots
+// generations this build reads are newer than (quarantined *.corrupt files
+// are kept for inspection). A generation recover refused counts toward no
+// other's limit, so a rollback beside a newer build's generations keeps its
+// own, and a refused one goes only once that many readable ones are newer.
+// The generation the served paged engine reads is never removed: deltas
+// that add no rows keep that engine while they advance the cursor.
 func (s *Store) pruneSnapshots() {
 	names := s.snapshotNames()
 	if len(names) <= s.opts.KeepSnapshots {
@@ -522,9 +531,14 @@ func (s *Store) pruneSnapshots() {
 	s.servedMu.Lock()
 	paged := s.pagedGen
 	s.servedMu.Unlock()
-	for _, name := range names[s.opts.KeepSnapshots:] {
-		if path := joinPath(s.dir, name); path != paged {
+	newer := 0 // readable generations newer than name
+	for _, name := range names {
+		path := joinPath(s.dir, name)
+		if newer >= s.opts.KeepSnapshots && path != paged {
 			_ = s.fsys.Remove(path)
+		}
+		if !s.unread[path] {
+			newer++
 		}
 	}
 	_ = s.fsys.SyncDir(s.dir)

@@ -58,7 +58,6 @@ func NewEngineAppend[T any](reg *Registry[T], base *Engine[T], added []T) (*Engi
 	items = append(items, base.items...)
 	items = append(items, added...)
 	e := NewEngine(reg, items)
-	e.uncompressed = base.uncompressed
 	// Carry the observed selectivity so the first scans size their match
 	// buffers like the warmed-up base did (a capacity hint only — results
 	// never depend on it).
@@ -75,7 +74,7 @@ func NewEngineAppend[T any](reg *Registry[T], base *Engine[T], added []T) (*Engi
 			continue
 		}
 		f := reg.byName[reg.order[ord]]
-		col := extendColumn(f, old, items, oldN, !e.uncompressed)
+		col := extendColumn(f, old, items, oldN)
 		slot := &e.cols[ord]
 		slot.once.Do(func() { slot.col.Store(col) })
 		if six != nil {
@@ -108,13 +107,14 @@ func compatibleRegistries[T any](next, base *Registry[T]) error {
 
 // extendColumn builds the full-length column from old, the built column of
 // the first oldN items: old values are copied, the added rows are extracted
-// as a column of their own and appended, and the compressed layout is
-// carried forward (see NewEngineAppend). The result is identical to
+// as a column of their own and appended, and the dictionary and zone maps
+// are carried forward (see NewEngineAppend). The result is identical to
 // buildColumn over all items. old is never a paged column: the string
 // headers copied here would alias a buffer its pool lends out again.
-func extendColumn[T any](f Field[T], old *column, items []T, oldN int, compressed bool) *column {
+func extendColumn[T any](f Field[T], old *column, items []T, oldN int) *column {
 	n := len(items)
-	tail := buildColumn(f, items[oldN:], false)
+	// The tail stays plain: extendDict looks its values up in tail.strs.
+	tail := extractColumn(f, items[oldN:])
 	c := &column{
 		kind:      f.Kind,
 		nulls:     newBitset(n),
@@ -135,10 +135,9 @@ func extendColumn[T any](f Field[T], old *column, items []T, oldN int, compresse
 	case KindFloat:
 		c.floats = concat(old.floats, tail.floats)
 	case KindString:
-		dictionary := compressed && f.Dictionary
-		if !dictionary || old.codes == nil || !c.extendDict(old, tail, oldN) {
+		if !f.Dictionary || old.codes == nil || !c.extendDict(old, tail, oldN) {
 			c.strs = concat(old.plainStrs(), tail.strs)
-			if dictionary {
+			if f.Dictionary {
 				c.encodeDict()
 			}
 		}
@@ -149,15 +148,13 @@ func extendColumn[T any](f Field[T], old *column, items []T, oldN int, compresse
 		c.timeNsec = concat(old.timeNsec, tail.timeNsec)
 		c.timeOff = concat(old.timeOff, tail.timeOff)
 	}
-	if compressed {
-		var sealed []zone
-		if c.hasNaN == old.hasNaN {
-			// A segment old filled holds the same rows in the same value
-			// order (a dictionary remap is monotone), so its zone stands.
-			sealed = old.zones[:min(oldN/segmentSize, len(old.zones))]
-		}
-		c.buildZonesFrom(sealed)
+	var sealed []zone
+	if c.hasNaN == old.hasNaN {
+		// A segment old filled holds the same rows in the same value order
+		// (a dictionary remap is monotone), so its zone stands.
+		sealed = old.zones[:min(oldN/segmentSize, len(old.zones))]
 	}
+	c.buildZonesFrom(sealed)
 	return c
 }
 

@@ -14,15 +14,16 @@ import (
 
 // appendPair builds the same logical dataset twice: once cold over the full
 // slice, once by appending the tail to a base engine that has already built
-// (a random subset of) its columns. Every test then asserts the two are
-// indistinguishable query-for-query.
-func appendPair(rng *rand.Rand, base, added []row, uncompressed bool) (appended, cold *Engine[row], err error) {
+// (a random subset of) its columns. With plain set, the registry has no
+// dictionary hints. Every test then asserts the two are indistinguishable
+// query-for-query.
+func appendPair(rng *rand.Rand, base, added []row, plain bool) (appended, cold *Engine[row], err error) {
 	all := append(append([]row{}, base...), added...)
-	build := NewEngine[row]
-	if uncompressed {
-		build = NewEngineUncompressed[row]
+	newReg := testDictRegistry
+	if plain {
+		newReg = testIndexedRegistry
 	}
-	baseEng := build(testDictRegistry(), base)
+	baseEng := NewEngine(newReg(), base)
 	// Warm a random subset of the base columns (and its selectivity history)
 	// with a few real scans, so the append seals a mix of built and
 	// never-touched columns.
@@ -31,15 +32,15 @@ func appendPair(rng *rand.Rand, base, added []row, uncompressed bool) (appended,
 			return nil, nil, err
 		}
 	}
-	appended, err = NewEngineAppend(testDictRegistry(), baseEng, added)
+	appended, err = NewEngineAppend(newReg(), baseEng, added)
 	if err != nil {
 		return nil, nil, err
 	}
-	return appended, build(testDictRegistry(), all), nil
+	return appended, NewEngine(newReg(), all), nil
 }
 
 // TestAppendMatchesColdBuild is the randomized seal equivalence suite: for
-// many (base, delta) splits — compressed and uncompressed, empty deltas and
+// many (base, delta) splits — dictionary and plain layouts, empty deltas and
 // empty bases included — every random scan and aggregate over the appended
 // engine is identical to the cold engine over the union.
 func TestAppendMatchesColdBuild(t *testing.T) {
@@ -238,12 +239,20 @@ func TestRetiredEngineFreedByOneGC(t *testing.T) {
 // dictionary-hinted string (the market, null wherever the rating is), so
 // all-null rows and fully-null columns reach the dictionary path too.
 func testLayoutRegistry() *Registry[row] {
-	r := testDictRegistry()
-	r.MustRegister(Field[row]{Name: "tag", Category: "meta", Kind: KindString, Nullable: true,
-		Extract: func(x row) (any, bool) { return x.market, x.hasRating }})
-	if err := r.MarkDictionary("tag"); err != nil {
+	r := testPlainLayoutRegistry()
+	if err := r.MarkDictionary("name", "market", "tag"); err != nil {
 		panic(err)
 	}
+	return r
+}
+
+// testPlainLayoutRegistry is testLayoutRegistry without dictionary hints:
+// every string column keeps the plain layout, as on a registry that hints
+// none (the library rows') and on a hinted column past dictCardLimit.
+func testPlainLayoutRegistry() *Registry[row] {
+	r := testIndexedRegistry()
+	r.MustRegister(Field[row]{Name: "tag", Category: "meta", Kind: KindString, Nullable: true,
+		Extract: func(x row) (any, bool) { return x.market, x.hasRating }})
 	return r
 }
 
@@ -326,27 +335,28 @@ func requireSameLayout(t *testing.T, got, want *Engine[row], all bool) {
 
 // chainAppends builds a base engine over parts[0], warms every column and
 // sorted index, then seals each later part onto the previous epoch, checking
-// every epoch's layout against a cold build over the same prefix. It
-// returns the base, the final epoch and the cold build over all parts.
-func chainAppends(t *testing.T, parts [][]row, uncompressed bool) (base, last, cold *Engine[row]) {
+// every epoch's layout against a cold build over the same prefix. With plain
+// set, the registry is testPlainLayoutRegistry. It returns the base, the
+// final epoch and the cold build over all parts.
+func chainAppends(t *testing.T, parts [][]row, plain bool) (base, last, cold *Engine[row]) {
 	t.Helper()
-	build := NewEngine[row]
-	if uncompressed {
-		build = NewEngineUncompressed[row]
+	newReg := testLayoutRegistry
+	if plain {
+		newReg = testPlainLayoutRegistry
 	}
 	all := append([]row{}, parts[0]...)
-	base = build(testLayoutRegistry(), all)
+	base = NewEngine(newReg(), all)
 	for ord := range base.sortedIdx {
 		base.sortedFor(ord) // builds the column too
 	}
 	last, cold = base, base
 	for i, part := range parts[1:] {
-		next, err := NewEngineAppend(testLayoutRegistry(), last, part)
+		next, err := NewEngineAppend(newReg(), last, part)
 		if err != nil {
 			t.Fatalf("append %d: %v", i+1, err)
 		}
 		all = append(all, part...)
-		cold = build(testLayoutRegistry(), all)
+		cold = NewEngine(newReg(), all)
 		requireSameLayout(t, next, cold, true)
 		last = next
 	}
@@ -387,10 +397,10 @@ func TestAppendChainLayoutMatchesColdBuild(t *testing.T) {
 	late := []string{"Tencent Myapp", "Xiaomi Market"}
 	encoded := func(c *column) bool { return c.codes != nil }
 	cases := []struct {
-		name         string
-		uncompressed bool
-		parts        func(rng *rand.Rand) [][]row
-		check        func(t *testing.T, base, last *Engine[row])
+		name  string
+		plain bool
+		parts func(rng *rand.Rand) [][]row
+		check func(t *testing.T, base, last *Engine[row])
 	}{
 		{
 			// Each delta brings a market sorting before every old one: the
@@ -526,8 +536,8 @@ func TestAppendChainLayoutMatchesColdBuild(t *testing.T) {
 			},
 		},
 		{
-			name:         "uncompressed",
-			uncompressed: true,
+			name:  "plain",
+			plain: true,
 			parts: func(rng *rand.Rand) [][]row {
 				return [][]row{
 					layoutRows(rng, 100, late, nil, false, false),
@@ -538,8 +548,8 @@ func TestAppendChainLayoutMatchesColdBuild(t *testing.T) {
 			},
 			check: func(t *testing.T, base, last *Engine[row]) {
 				for ord := range last.cols {
-					if c := last.cols[ord].col.Load(); c.codes != nil || c.zones != nil {
-						t.Fatalf("uncompressed epoch carries a compressed layout on %s", last.reg.order[ord])
+					if c := last.cols[ord].col.Load(); c.codes != nil {
+						t.Fatalf("plain-layout epoch carries a dictionary on %s", last.reg.order[ord])
 					}
 				}
 			},
@@ -549,7 +559,7 @@ func TestAppendChainLayoutMatchesColdBuild(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			base, last, _ := chainAppends(t, tc.parts(rand.New(rand.NewSource(1))), tc.uncompressed)
+			base, last, _ := chainAppends(t, tc.parts(rand.New(rand.NewSource(1))), tc.plain)
 			tc.check(t, base, last)
 		})
 	}
@@ -685,8 +695,8 @@ func fuzzRows(data []byte) []row {
 // indexes), a few scans and a few aggregates. Ratings may be NaN, so they
 // are filtered on but never output (reflect.DeepEqual would refuse NaN
 // cells even when both sides agree). The first byte picks the
-// number of cuts and the compressed or uncompressed layout; the next bytes
-// are the cut points; the rest are rows.
+// number of cuts and the registry, with or without dictionary hints; the
+// next bytes are the cut points; the rest are rows.
 func FuzzEngineAppend(f *testing.F) {
 	f.Add([]byte{0x01, 3, 9, 1, 2, 40, 7, 1, 3, 80, 9, 5, 4, 255, 11, 200, 12, 60, 13})
 	f.Add([]byte{0x07, 0, 2, 5, 9, 10, 1, 0, 1, 11, 2, 0, 2, 12, 3, 30, 3, 13, 4, 255, 4, 14, 0, 100, 5})
@@ -706,7 +716,7 @@ func FuzzEngineAppend(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		nCuts, uncompressed := 1+int(data[0]%4), data[0]&4 != 0
+		nCuts, plain := 1+int(data[0]%4), data[0]&4 != 0
 		if len(data) < 1+nCuts {
 			return
 		}
@@ -724,7 +734,7 @@ func FuzzEngineAppend(f *testing.F) {
 			}
 			parts = append(parts, rows[c:end])
 		}
-		_, last, cold := chainAppends(t, parts, uncompressed)
+		_, last, cold := chainAppends(t, parts, plain)
 		for _, q := range queries {
 			got, err1 := last.Scan(q)
 			want, err2 := cold.Scan(q)

@@ -86,8 +86,8 @@ type column struct {
 	timeNsec []int32
 	timeOff  []int32
 
-	// Dictionary encoding (string columns marked Field.Dictionary, on
-	// compressed engines): dict is the sorted slice of distinct non-null
+	// Dictionary encoding (string columns marked Field.Dictionary, within
+	// dictCardLimit): dict is the sorted slice of distinct non-null
 	// values and codes holds one index into it per row (unspecified where
 	// null). A non-nil dict marks the column encoded — strs is then nil.
 	// Because dict is sorted, code order is value order, so comparisons and
@@ -95,8 +95,8 @@ type column struct {
 	dict  []string
 	codes []uint32
 
-	// zones holds the per-segment zone maps (segmentSize rows each), built
-	// on compressed engines; nil otherwise.
+	// zones holds the per-segment zone maps (segmentSize rows each); nil
+	// on an empty column.
 	zones []zone
 }
 
@@ -109,13 +109,22 @@ type colSlot struct {
 	col  atomic.Pointer[column]
 }
 
-// buildColumn materializes a field over every item through the same
-// extract() the oracle path uses, so cached values (nulls included) are
-// identical to what a row-at-a-time scan would see. With compressed set it
-// additionally dictionary-encodes hinted string columns and attaches
-// per-segment zone maps; both change only the layout, never the values a
-// scan observes.
-func buildColumn[T any](f Field[T], items []T, compressed bool) *column {
+// buildColumn materializes a field over every item (extractColumn), then
+// dictionary-encodes a hinted string column and attaches per-segment zone
+// maps; both change only the layout, never the values a scan observes.
+func buildColumn[T any](f Field[T], items []T) *column {
+	c := extractColumn(f, items)
+	if f.Dictionary && f.Kind == KindString {
+		c.encodeDict()
+	}
+	c.buildZones()
+	return c
+}
+
+// extractColumn materializes a field over every item in the plain layout
+// through the same extract() the oracle path uses, so cached values (nulls
+// included) are identical to what a row-at-a-time scan would see.
+func extractColumn[T any](f Field[T], items []T) *column {
 	n := len(items)
 	c := &column{kind: f.Kind, nulls: newBitset(n)}
 	switch f.Kind {
@@ -157,12 +166,6 @@ func buildColumn[T any](f Field[T], items []T, compressed bool) *column {
 			_, off := t.Zone()
 			c.timeSec[i], c.timeNsec[i], c.timeOff[i] = t.Unix(), int32(t.Nanosecond()), int32(off)
 		}
-	}
-	if compressed {
-		if f.Dictionary && f.Kind == KindString {
-			c.encodeDict()
-		}
-		c.buildZones()
 	}
 	return c
 }
@@ -415,7 +418,7 @@ func (e *Engine[T]) columnFor(ord int) *column {
 	slot := &e.cols[ord]
 	slot.once.Do(func() {
 		f := e.reg.byName[e.reg.order[ord]]
-		slot.col.Store(buildColumn(f, e.items, !e.uncompressed))
+		slot.col.Store(buildColumn(f, e.items))
 	})
 	return slot.col.Load()
 }

@@ -151,9 +151,8 @@ func TestBitmapAndOr(t *testing.T) {
 // --- dictionary encoding -------------------------------------------------
 
 // TestDictEncodingLayout pins the layout contract: a hinted low-cardinality
-// column encodes (sorted dictionary, plain slice dropped), a hinted
-// high-cardinality column silently keeps the plain layout, and uncompressed
-// engines never encode.
+// column encodes (sorted dictionary, plain slice dropped), and a hinted
+// high-cardinality column silently keeps the plain layout.
 func TestDictEncodingLayout(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 600 // above dictCardLimit floor so unique names must bail
@@ -187,11 +186,6 @@ func TestDictEncodingLayout(t *testing.T) {
 	name := e.columnFor(e.ordinals["name"])
 	if name.dict != nil {
 		t.Fatalf("near-unique name column encoded anyway (dict size %d); want cardinality bail-out", len(name.dict))
-	}
-
-	plain := NewEngineUncompressed(testDictRegistry(), rows)
-	if c := plain.columnFor(plain.ordinals["market"]); c.dict != nil || c.zones != nil {
-		t.Fatal("uncompressed engine built dict/zones")
 	}
 }
 
@@ -246,8 +240,9 @@ func TestBitmapExplain(t *testing.T) {
 
 // TestDictPlannerMatchesOracleRandom re-runs the randomized scan equivalence
 // suite with dictionary encoding forced on the string fields, and
-// additionally cross-checks the compressed engine against an uncompressed
-// engine over the same rows — three paths, one answer.
+// additionally cross-checks it against an engine over the same rows whose
+// registry has no dictionary hints, so every string column stays plain —
+// three paths, one answer.
 func TestDictPlannerMatchesOracleRandom(t *testing.T) {
 	const queriesPerSeed = 120
 	for seed := int64(31); seed <= 36; seed++ {
@@ -258,19 +253,19 @@ func TestDictPlannerMatchesOracleRandom(t *testing.T) {
 			n := 50 + rng.Intn(400)
 			rows := randomRows(rng, n)
 			compressed := NewEngine(testDictRegistry(), rows)
-			plain := NewEngineUncompressed(testDictRegistry(), rows)
+			plain := NewEngine(testIndexedRegistry(), rows)
 			for i := 0; i < queriesPerSeed; i++ {
 				q := randomQuery(rng)
 				planned, err1 := compressed.Scan(q)
 				oracle, err2 := compressed.ScanOracle(q)
-				unc, err3 := plain.Scan(q)
+				plainRes, err3 := plain.Scan(q)
 				if err1 != nil || err2 != nil || err3 != nil {
 					t.Fatalf("query %d (%+v): errs %v / %v / %v", i, q, err1, err2, err3)
 				}
 				requireSameResult(t, q, planned, oracle)
-				if !reflect.DeepEqual(planned.Rows, unc.Rows) ||
-					planned.Meta.TotalMatched != unc.Meta.TotalMatched {
-					t.Fatalf("query %d (%+v): compressed diverges from uncompressed engine", i, q)
+				if !reflect.DeepEqual(planned.Rows, plainRes.Rows) ||
+					planned.Meta.TotalMatched != plainRes.Meta.TotalMatched {
+					t.Fatalf("query %d (%+v): dictionary layout diverges from plain layout", i, q)
 				}
 			}
 		})
@@ -291,12 +286,12 @@ func TestDictAggregateMatchesOracle(t *testing.T) {
 			n := 50 + rng.Intn(400)
 			rows := randomRows(rng, n)
 			compressed := NewEngine(testDictRegistry(), rows)
-			plain := NewEngineUncompressed(testDictRegistry(), rows)
+			plain := NewEngine(testIndexedRegistry(), rows)
 			for i := 0; i < requestsPerSeed; i++ {
 				a := randomAggregate(rng)
 				planned, err1 := compressed.Aggregate(a)
 				oracle, err2 := compressed.AggregateOracle(a)
-				unc, err3 := plain.Aggregate(a)
+				plainRes, err3 := plain.Aggregate(a)
 				if (err1 == nil) != (err2 == nil) || (err1 == nil) != (err3 == nil) {
 					t.Fatalf("request %d (%+v): errs %v / %v / %v", i, a, err1, err2, err3)
 				}
@@ -304,8 +299,8 @@ func TestDictAggregateMatchesOracle(t *testing.T) {
 					continue
 				}
 				requireSameAggregate(t, a, planned, oracle)
-				if !reflect.DeepEqual(planned.Rows, unc.Rows) {
-					t.Fatalf("request %d (%+v): compressed diverges from uncompressed engine", i, a)
+				if !reflect.DeepEqual(planned.Rows, plainRes.Rows) {
+					t.Fatalf("request %d (%+v): dictionary layout diverges from plain layout", i, a)
 				}
 			}
 		})
@@ -313,8 +308,10 @@ func TestDictAggregateMatchesOracle(t *testing.T) {
 }
 
 // TestPackedGroupKeys asserts the packed-uint64 grouping fast path actually
-// engages for all-dictionary group-bys and still produces oracle-identical
-// groups when the group columns carry nulls.
+// engages for all-dictionary group-bys, still produces oracle-identical
+// groups when the group columns carry nulls, and is what a dictionary
+// group-by runs: the same group-by allocates less over dictionary codes than
+// over the plain layout's byte keys.
 func TestPackedGroupKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(51))
 	rows := randomRows(rng, 300)
@@ -341,6 +338,22 @@ func TestPackedGroupKeys(t *testing.T) {
 		t.Fatalf("errs %v / %v", err1, err2)
 	}
 	requireSameAggregate(t, a, planned, oracle)
+
+	// AllocsPerRun pins GOMAXPROCS to 1 and its warm-up run builds the
+	// columns, so both counts are deterministic.
+	rows = randomRows(rng, 2000)
+	byKeys := Aggregate{GroupBy: []string{"market", "flagged"}, Aggregates: []AggSpec{{Op: AggCount, As: "n"}}}
+	allocs := func(reg *Registry[row]) float64 {
+		e := NewEngine(reg, rows)
+		return testing.AllocsPerRun(5, func() {
+			if _, err := e.Aggregate(byKeys); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if dict, plain := allocs(testDictRegistry()), allocs(testIndexedRegistry()); dict >= plain {
+		t.Fatalf("market × flagged group-by: %v allocations over dictionary codes, %v over the plain layout; want fewer (packed keys)", dict, plain)
+	}
 }
 
 // --- zone maps -----------------------------------------------------------

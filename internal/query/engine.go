@@ -40,11 +40,6 @@ type Engine[T any] struct {
 	// heuristic for preallocating match buffers.
 	lastSel atomic.Uint32
 
-	// uncompressed disables the compressed column layout (dictionary
-	// encoding, bitmap posting lists, zone maps), reproducing the
-	// pre-compression planner. See NewEngineUncompressed.
-	uncompressed bool
-
 	// pager, when non-nil, marks a paged engine (NewEnginePaged): columns
 	// page in from a snapshot on first touch instead of building from items,
 	// scans pin the columns they use, and the planner skips secondary
@@ -68,19 +63,6 @@ func NewEngine[T any](reg *Registry[T], items []T) *Engine[T] {
 	for i, name := range reg.order {
 		e.ordinals[name] = i
 	}
-	return e
-}
-
-// NewEngineUncompressed binds a registry to a dataset like NewEngine but
-// with the compressed column layout disabled: no dictionary encoding, no
-// bitmap posting lists, no segment zone maps — the planner exactly as it was
-// before compression existed. Results are bit-identical to NewEngine's for
-// every query; only layout and speed differ. Benchmarks use it as the
-// baseline the compressed engine is measured against, and the equivalence
-// suite runs both. Production callers should use NewEngine.
-func NewEngineUncompressed[T any](reg *Registry[T], items []T) *Engine[T] {
-	e := NewEngine(reg, items)
-	e.uncompressed = true
 	return e
 }
 

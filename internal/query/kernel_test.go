@@ -147,33 +147,33 @@ func kernelFilters() [][]Filter {
 // residualExplainDigests pins, per (nulls, row count), an FNV-1a digest of
 // the Explain counters every query of TestResidualKernelsMatchOracle
 // reports — segments skipped, segment rows scanned, residual rows scanned
-// and candidates, over all three engines and both paths. The values are
-// those of the row-at-a-time residual loop the kernels replaced: moving the
-// residual stage to kernels must not change what the planner reports.
+// and candidates, over both engines and both paths. The values are those of
+// the row-at-a-time residual loop the kernels replaced: moving the residual
+// stage to kernels must not change what the planner reports.
 var residualExplainDigests = map[string]uint64{
-	"nulls=false/n=0":    0x1fa36297c010e0d5,
-	"nulls=false/n=1":    0x33b83296925f74a5,
-	"nulls=false/n=1023": 0x4d4923590baaa9d5,
-	"nulls=false/n=1024": 0x2fd2dd107b3642ec,
-	"nulls=false/n=1025": 0x41f2aa53297cc41f,
-	"nulls=false/n=209":  0xf5ccd291d675e960,
-	"nulls=false/n=2129": 0x998885c1849a90ca,
-	"nulls=true/n=0":     0x1fa36297c010e0d5,
-	"nulls=true/n=1":     0xe506988bf527ed99,
-	"nulls=true/n=1023":  0xf78ee61288245adb,
-	"nulls=true/n=1024":  0xe74d4922238d40b0,
-	"nulls=true/n=1025":  0x420e039f90baa563,
-	"nulls=true/n=209":   0x651369f1246cb752,
-	"nulls=true/n=2129":  0xfb5062ca4fbba92b,
+	"nulls=false/n=0":    0x5a6efe0a1570c4fb,
+	"nulls=false/n=1":    0x4695a6ad44c3c58b,
+	"nulls=false/n=1023": 0xe437f72ced19b365,
+	"nulls=false/n=1024": 0x8d894102d87abcac,
+	"nulls=false/n=1025": 0xf132deb3cfe6d573,
+	"nulls=false/n=209":  0x529f3b1f96170862,
+	"nulls=false/n=2129": 0xa163d72daf8bb51e,
+	"nulls=true/n=0":     0x5a6efe0a1570c4fb,
+	"nulls=true/n=1":     0xba942d6540116bb7,
+	"nulls=true/n=1023":  0x1365722b70d5b117,
+	"nulls=true/n=1024":  0xf028b8eba4a149ec,
+	"nulls=true/n=1025":  0x0abdc17db23f4ef5,
+	"nulls=true/n=209":   0x671c486400035886,
+	"nulls=true/n=2129":  0x832e11e6d95fbc13,
 }
 
 // TestResidualKernelsMatchOracle runs every operator on every kind through
 // the residual kernels — a zone-pruned full scan, a candidate list from a
 // hash index (the paged engine has no index and scans in full), and the
-// where filter of an aggregate — on compressed, uncompressed and paged
-// engines, with and without nulls, at row counts around one block and
-// across several segments with an odd tail. Every answer must equal the
-// oracle's, and the Explain counters must equal the pinned ones.
+// where filter of an aggregate — on materialized and paged engines, with
+// and without nulls, at row counts around one block and across several
+// segments with an odd tail. Every answer must equal the oracle's, and the
+// Explain counters must equal the pinned ones.
 func TestResidualKernelsMatchOracle(t *testing.T) {
 	filters := kernelFilters()
 	sizes := []int{0, 1, blockSize - 1, blockSize, blockSize + 1, 3*segmentSize + 17, 2*blockSize + segmentSize + 17}
@@ -195,7 +195,7 @@ func TestResidualKernelsMatchOracle(t *testing.T) {
 				engines := []struct {
 					name string
 					e    *Engine[krow]
-				}{{"compressed", compressed}, {"uncompressed", NewEngineUncompressed(kernelRegistry(), rows)}, {"paged", paged}}
+				}{{"compressed", compressed}, {"paged", paged}}
 
 				digest := fnv.New64a()
 				skipped, listed := 0, 0 // scans that pruned segments / ran over a candidate list

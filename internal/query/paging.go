@@ -610,7 +610,7 @@ func NewEnginePaged[T any](reg *Registry[T], items []T, fetcher ColumnFetcher, p
 			}
 			return c, nil
 		}
-		s.rebuild = func() *column { return buildColumn(f, items, !e.uncompressed) }
+		s.rebuild = func() *column { return buildColumn(f, items) }
 		p.slots[ord] = s
 	}
 	e.pager = p
@@ -710,5 +710,5 @@ func (e *Engine[T]) aggOrds(pa *preparedAgg[T]) []int {
 // an eviction could hand its memory to another fetch mid-read.
 func (p *enginePager[T]) transientColumn(e *Engine[T], ord int) *column {
 	f := e.reg.byName[e.reg.order[ord]]
-	return buildColumn(f, e.items, !e.uncompressed)
+	return buildColumn(f, e.items)
 }

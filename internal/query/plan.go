@@ -407,7 +407,7 @@ func (e *Engine[T]) matchColumns(ctx context.Context, filters []compiledFilter[T
 		n = len(candidates)
 	}
 	var skip []bool
-	if candidates == nil && !e.uncompressed && n > 0 {
+	if candidates == nil && n > 0 {
 		if pruners := e.zonePruners(filters); len(pruners) > 0 {
 			skip = make([]bool, (n+segmentSize-1)/segmentSize)
 			for s := range skip {
@@ -588,10 +588,16 @@ func (e *Engine[T]) scanPlanned(ctx context.Context, pq *prepared[T], start time
 		if cancel := newCanceler(ctx); cancel.hit() {
 			return nil, ctx.Err()
 		}
-		less := e.rowLess(pq.sortKeys, pq.sortOrds)
-		if pq.limit > 0 && pq.limit < len(matched) {
+		less, nan := e.rowLess(pq.sortKeys, pq.sortOrds, true)
+		switch {
+		case nan:
+			// Top-K or an unstable sort would part from the oracle: run its
+			// stable sort on the keys alone, over the same dataset order.
+			keyLess, _ := e.rowLess(pq.sortKeys, pq.sortOrds, false)
+			sort.SliceStable(matched, func(i, j int) bool { return keyLess(matched[i], matched[j]) })
+		case pq.limit > 0 && pq.limit < len(matched):
 			matched = topK(matched, pq.limit, less)
-		} else {
+		default:
 			sort.Slice(matched, func(i, j int) bool { return less(matched[i], matched[j]) })
 		}
 	}
@@ -615,15 +621,18 @@ func (e *Engine[T]) scanPlanned(ctx context.Context, pq *prepared[T], start time
 	}, nil
 }
 
-// rowLess builds the strict total order the sort stage uses: the query's
-// sort keys over the cached columns (nulls after everything, direction
-// inverted per key), ties broken by dataset order. Sorting by it is
+// rowLess builds the order the sort stage uses: the query's sort keys over
+// the cached columns (nulls after everything, direction inverted per key),
+// ties broken by dataset order when byRow is set. nan reports a key column
+// holding NaN, which compares equal to every float, so the order is no
+// strict weak order. Otherwise it is a strict total order: sorting by it is
 // equivalent to the oracle's stable sort, and it is what makes bounded
 // top-K selection exact.
-func (e *Engine[T]) rowLess(keys []SortKey, ords []int) func(a, b int32) bool {
+func (e *Engine[T]) rowLess(keys []SortKey, ords []int, byRow bool) (less func(a, b int32) bool, nan bool) {
 	cols := make([]*column, len(ords))
 	for i, ord := range ords {
 		cols[i] = e.columnFor(ord)
+		nan = nan || cols[i].hasNaN
 	}
 	return func(a, b int32) bool {
 		for k, col := range cols {
@@ -646,8 +655,8 @@ func (e *Engine[T]) rowLess(keys []SortKey, ords []int) func(a, b int32) bool {
 				return c < 0
 			}
 		}
-		return a < b
-	}
+		return byRow && a < b
+	}, nan
 }
 
 // materializeColumns builds the output rows from the column caches: one flat

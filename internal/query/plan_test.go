@@ -547,7 +547,6 @@ func TestPlanarTimeEdges(t *testing.T) {
 		e    *Engine[row]
 	}{
 		{"compressed", compressed},
-		{"uncompressed", NewEngineUncompressed(reg, rows)},
 		{"imported", imported},
 		{"appended", appended},
 		{"paged", paged},
@@ -731,6 +730,8 @@ func FuzzScanQuery(f *testing.F) {
 	f.Add([]byte(`{"filters":[{"field":"size","op":">","value":5},{"field":"size","op":"<=","value":20}],"sort":[{"field":"size"}],"limit":4}`))
 	f.Add([]byte(`{"filters":[{"field":"date","op":">=","value":"2018-05-09"},{"field":"date","op":"<","value":"2018-05-03T08:00:00+08:00"}]}`))
 	f.Add([]byte(`{"fields":["name","rating"],"filters":[{"field":"rating","op":"<=","value":2.5},{"field":"rating","op":"!=","value":1}],"sort":[{"field":"rating"}]}`))
+	f.Add([]byte(`{"sort":[{"field":"rating"}]}`))
+	f.Add([]byte(`{"fields":["name","rating"],"sort":[{"field":"rating","desc":true},{"field":"size"}],"limit":9}`))
 
 	rng := rand.New(rand.NewSource(3))
 	engines := []*Engine[row]{

@@ -39,12 +39,11 @@
 // per 65536-row chunk), every column splits into fixed-size segments with
 // per-segment min/max zone maps that let full scans skip segments a filter
 // provably cannot match, and all-dictionary group-bys pack their keys into
-// single machine words. NewEngineUncompressed builds the same engine with
-// compression disabled, as a baseline for benchmarks and equivalence tests.
+// single machine words.
 //
 // # Determinism contract
 //
-// Every execution path — planned or oracle, compressed or uncompressed,
+// Every execution path — planned or oracle, dictionary or plain layout,
 // serial or parallel — returns byte-identical results for the same query
 // over the same engine: same rows, same order, same metadata counts, float
 // aggregates folded in the same dataset order so even their bit patterns
@@ -169,9 +168,9 @@ type Explain struct {
 	ResidualScanned int `json:"residual_scanned"`
 	// SegmentsSkipped / SegmentsScanned count the fixed-size column segments
 	// a full scan skipped via zone maps versus actually walked. Both are
-	// zero when zone pruning did not run: on uncompressed engines, when
-	// posting lists already narrowed the scan to candidates, or when no
-	// filter had a usable zone rule.
+	// zero when zone pruning did not run: when posting lists already
+	// narrowed the scan to candidates, or when no filter had a usable zone
+	// rule.
 	SegmentsSkipped int `json:"segments_skipped,omitempty"`
 	SegmentsScanned int `json:"segments_scanned,omitempty"`
 	// SegmentRowsSkipped / SegmentRowsScanned are the same tallies in rows.

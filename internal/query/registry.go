@@ -26,10 +26,10 @@ type Field[T any] struct {
 	// encoding: the engine stores the column as int codes into a sorted
 	// dictionary of distinct values, group-by keys compare as ints, and —
 	// combined with Indexable — == / in posting lists become compressed
-	// bitmaps. The hint is ignored for non-string kinds, on engines built
-	// with NewEngineUncompressed, and for columns whose observed cardinality
-	// turns out too high to benefit (the column silently stays plain).
-	// Results are bit-identical either way; only the layout changes.
+	// bitmaps. The hint is ignored for non-string kinds and for columns
+	// whose observed cardinality turns out too high to benefit (the column
+	// silently stays plain). Results are bit-identical either way; only the
+	// layout changes.
 	Dictionary bool
 	Extract    func(T) (any, bool)
 }
