@@ -19,6 +19,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -72,9 +73,23 @@ func (a *App) DeveloperID() string {
 type Dataset struct {
 	CrawlTime time.Time
 	Markets   []market.Profile
-	Apps      []*App
+	// Apps holds every listing in dataset order. It is capacity-capped, so
+	// an append to it copies instead of writing into rows a later epoch
+	// owns.
+	Apps []*App
 
+	// apps is Apps with its spare capacity, and byMarket's slices keep
+	// theirs: the next ingest epoch writes its rows there (IngestState.Append)
+	// while this dataset reads only up to its own lengths. AppsIn caps what it
+	// hands out. apkRows lists ascending the rows whose APK parsed — the
+	// only listings a later epoch re-detects — and grows the same way.
+	apps     []*App
 	byMarket map[string][]*App
+	apkRows  []int32
+	// grown is claimed by the one IngestState.Append allowed to extend apps,
+	// byMarket and apkRows in place; any other append from this dataset
+	// copies them.
+	grown atomic.Bool
 
 	enrichOnce sync.Once
 	enriched   atomic.Bool
@@ -150,9 +165,27 @@ func BuildDatasetFromRecords(crawlTime time.Time, records []appmeta.Record, apkO
 		apps[i] = parseListing(records[i], apkOf)
 		tracker.Tick()
 	})
-	d.Apps = apps
+	d.setApps(apps)
+	d.apkRows = appendAPKRows(nil, apps, 0)
 	d.attachMarkets()
 	return d, nil
+}
+
+// setApps installs apps as the dataset's listings, Apps capacity-capped.
+func (d *Dataset) setApps(apps []*App) {
+	d.apps = apps
+	d.Apps = slices.Clip(apps)
+}
+
+// appendAPKRows appends to rows the positions of apps' listings whose APK
+// parsed, apps[0] being row first.
+func appendAPKRows(rows []int32, apps []*App, first int) []int32 {
+	for i, app := range apps {
+		if app.HasAPK() {
+			rows = append(rows, int32(first+i))
+		}
+	}
+	return rows
 }
 
 // parseListing builds one App: metadata always, parsed APK when apkOf has
@@ -193,10 +226,7 @@ func parseListingInto(app *App, rec appmeta.Record, apkOf func(appmeta.Key) ([]b
 	return app
 }
 
-// attachMarkets derives byMarket and the Markets profile list from d.Apps:
-// profiles for the markets present in canonical study order first, then
-// unknown markets (not part of the 17-market study, still analyzed) sorted,
-// with zero-value profiles.
+// attachMarkets derives byMarket and the Markets profile list from d.Apps.
 func (d *Dataset) attachMarkets() {
 	// Group through bucket pointers with a one-entry cache for runs of the
 	// same market: large corpora hit the map roughly once per run instead of
@@ -216,9 +246,19 @@ func (d *Dataset) attachMarkets() {
 		}
 		*lastB = append(*lastB, app)
 	}
-	seenMarkets := make(map[string]bool, len(buckets))
 	for name, b := range buckets {
 		d.byMarket[name] = *b
+	}
+	d.attachProfiles()
+}
+
+// attachProfiles derives the Markets profile list from byMarket's keys:
+// profiles for the markets present in canonical study order first, then
+// unknown markets (not part of the 17-market study, still analyzed) sorted,
+// with zero-value profiles.
+func (d *Dataset) attachProfiles() {
+	seenMarkets := make(map[string]bool, len(d.byMarket))
+	for name := range d.byMarket {
 		seenMarkets[name] = true
 	}
 	for _, p := range market.Profiles() {
@@ -411,8 +451,8 @@ func (d *Dataset) MarketNames() []string {
 	return out
 }
 
-// AppsIn returns the listings of one market.
-func (d *Dataset) AppsIn(marketName string) []*App { return d.byMarket[marketName] }
+// AppsIn returns the listings of one market, capacity-capped like Apps.
+func (d *Dataset) AppsIn(marketName string) []*App { return slices.Clip(d.byMarket[marketName]) }
 
 // NumListings returns the total number of listings.
 func (d *Dataset) NumListings() int { return len(d.Apps) }
@@ -431,8 +471,8 @@ func (d *Dataset) ChineseApps() []*App {
 	return d.chineseApps
 }
 
-// GooglePlayApps returns the Google Play listings.
-func (d *Dataset) GooglePlayApps() []*App { return d.byMarket[market.GooglePlay] }
+// GooglePlayApps returns the Google Play listings, capacity-capped like Apps.
+func (d *Dataset) GooglePlayApps() []*App { return d.AppsIn(market.GooglePlay) }
 
 // PackagesByMarket returns market -> set of packages, used by several
 // cross-market analyses.

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"time"
 
 	"marketscope/internal/appmeta"
@@ -32,12 +33,17 @@ import (
 //     DB while its engine is still live.
 //   - Library detections do NOT carry over blindly: they depend on the whole
 //     corpus (threshold crossings, canonical-prefix flips), so every batch
-//     re-detects every previously ingested listing against the grown DB. A
-//     listing whose detections are unchanged keeps its exact *App pointer —
-//     no write ever lands on an App a live engine is serving — and when
-//     nothing changed, the new epoch's engine is sealed from the previous
-//     one's columns via query.NewEngineAppend instead of re-extracting the
-//     whole corpus.
+//     re-detects every previously ingested listing with a parsed APK (the
+//     rows the dataset keeps in apkRows; a listing without one detects
+//     nothing under any DB) against the grown DB. A listing whose detections
+//     are unchanged keeps its exact *App pointer — no write ever lands on an
+//     App a live engine is serving — and when nothing changed, the new
+//     epoch's engine is sealed from the previous one's columns via
+//     query.NewEngineAppend instead of re-extracting the whole corpus.
+//   - When nothing changed, the new epoch is also delta-sized: its listing
+//     slice, per-market slices and APK rows are the previous epoch's, grown
+//     in place into their spare capacity (claimed once per dataset, like the
+//     engine's columns), and the engine shares that listing array.
 type IngestState struct {
 	opts EnrichOptions
 	// db accumulates the feature observations of every listing ingested so
@@ -83,9 +89,9 @@ type AppendStats struct {
 
 // Append builds the next epoch's dataset: prev's listings (re-detected,
 // pointer-preserved where unchanged) followed by the given records, parsed
-// and enriched. prev is never mutated — its engine keeps serving the old
-// epoch — and may be nil for the first batch. apkOf resolves the new
-// records' APK bytes and may be nil.
+// and enriched. prev is never mutated below its own lengths — its engine
+// keeps serving the old epoch — and may be nil for the first batch. apkOf
+// resolves the new records' APK bytes and may be nil.
 func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appmeta.Record, apkOf func(appmeta.Key) ([]byte, bool)) (*Dataset, AppendStats) {
 	stats := AppendStats{Added: len(records)}
 	workers := st.opts.Workers
@@ -113,31 +119,27 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 	st.db = db
 	detector := libdetect.NewDetector(nil, db)
 
-	// Re-detect every previously ingested listing against the grown DB.
-	// Unchanged detections keep the old *App; changed ones get a shallow
-	// copy (Parsed, AVReport and PermUsage are archive-pure and shared).
+	// Re-detect every previously ingested listing with a parsed APK against
+	// the grown DB. Unchanged detections keep the old *App; changed ones get
+	// a shallow copy (Parsed, AVReport and PermUsage are archive-pure and
+	// shared), recorded by its position in apkRows.
 	var prevApps []*App
+	var prevAPK []int32
 	if prev != nil {
-		prevApps = prev.Apps
+		prevApps, prevAPK = prev.apps, prev.apkRows
 	}
-	olds := make([]*App, len(prevApps))
-	pipeline.ForEach(len(prevApps), workers, func(i int) {
-		old := prevApps[i]
-		if !old.HasAPK() {
-			olds[i] = old
-			return
-		}
+	changed := make([]*App, len(prevAPK))
+	pipeline.ForEach(len(prevAPK), workers, func(k int) {
+		old := prevApps[prevAPK[k]]
 		libs := detector.Detect(old.Parsed.Dex, old.Meta.Package)
-		if detectionsEqual(libs, old.Libraries) {
-			olds[i] = old
-			return
+		if !detectionsEqual(libs, old.Libraries) {
+			cp := *old
+			cp.Libraries = libs
+			changed[k] = &cp
 		}
-		cp := *old
-		cp.Libraries = libs
-		olds[i] = &cp
 	})
-	for i := range olds {
-		if olds[i] != prevApps[i] {
+	for _, cp := range changed {
+		if cp != nil {
 			stats.Redetected++
 		}
 	}
@@ -172,11 +174,36 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 
 	// Assemble the new epoch: a fresh Dataset value, already enriched (the
 	// pipelines above are the enrichment — a later Enrich call is a no-op).
+	// Unchanged old rows make it prev's listings plus the delta's, grown in
+	// place when this is the one append to claim prev; otherwise (a changed
+	// row, or a second append from prev) everything is copied.
 	d := &Dataset{CrawlTime: crawlTime, byMarket: map[string][]*App{}}
-	d.Apps = make([]*App, 0, len(olds)+len(fresh))
-	d.Apps = append(d.Apps, olds...)
-	d.Apps = append(d.Apps, fresh...)
-	d.attachMarkets()
+	inPlace := stats.Redetected == 0 && prev != nil && prev.grown.CompareAndSwap(false, true)
+	apps := prevApps
+	apkRows := prevAPK
+	if !inPlace {
+		apps = make([]*App, len(prevApps), len(prevApps)+len(fresh))
+		copy(apps, prevApps)
+		for k, cp := range changed {
+			if cp != nil {
+				apps[prevAPK[k]] = cp
+			}
+		}
+		apkRows = slices.Clip(apkRows)
+	}
+	d.setApps(append(apps, fresh...))
+	d.apkRows = appendAPKRows(apkRows, fresh, len(prevApps))
+	if inPlace {
+		for name, bucket := range prev.byMarket {
+			d.byMarket[name] = bucket
+		}
+		for _, app := range fresh {
+			d.byMarket[app.Meta.Market] = append(d.byMarket[app.Meta.Market], app)
+		}
+		d.attachProfiles()
+	} else {
+		d.attachMarkets()
+	}
 	d.libDetector = detector
 	d.scanner = st.scanner
 	d.enrichOnce.Do(func() {})
@@ -188,7 +215,7 @@ func (st *IngestState) Append(prev *Dataset, crawlTime time.Time, records []appm
 	// cold build in QuerySource.
 	if stats.Redetected == 0 && prev != nil {
 		if base := prev.builtEngine(); base != nil {
-			if eng, err := query.NewEngineAppend(appFieldRegistry(d), base, fresh); err == nil {
+			if eng, err := query.NewEngineAppend(appFieldRegistry(d), base, d.Apps); err == nil {
 				d.queryMu.Lock()
 				d.querySrc = eng
 				d.queryEnriched = true

@@ -14,16 +14,6 @@ import (
 // process byte-identical to a cold build — and the installed columns only
 // spare the engine its boxed re-extraction of every field over every row.
 
-// Records returns every listing's metadata record in dataset order — the
-// order an ingest.Restore must feed them back in to reproduce the dataset.
-func (d *Dataset) Records() []appmeta.Record {
-	out := make([]appmeta.Record, len(d.Apps))
-	for i, app := range d.Apps {
-		out[i] = app.Meta
-	}
-	return out
-}
-
 // ExportQueryColumns materializes and exports every query field's column
 // (plus the bitmap posting lists of indexed dictionary fields) from the
 // dataset's cached engine. The dataset must be enriched — an unenriched

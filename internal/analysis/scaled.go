@@ -2,10 +2,8 @@ package analysis
 
 import (
 	"errors"
-	"sort"
 
 	"marketscope/internal/appmeta"
-	"marketscope/internal/market"
 	"marketscope/internal/synth"
 )
 
@@ -26,39 +24,22 @@ var errScaledNoAPK = errors.New("analysis: scaled corpus has no APKs")
 // record per listing, never the generator's intermediate state.
 func NewScaledDataset(cfg synth.ScaleConfig) (*Dataset, error) {
 	d := &Dataset{byMarket: map[string][]*App{}}
+	var apps []*App
 	err := synth.StreamListings(cfg, func(i int, rec appmeta.Record) error {
 		app := &App{Meta: rec, ParseError: errScaledNoAPK}
-		d.Apps = append(d.Apps, app)
+		apps = append(apps, app)
 		d.byMarket[rec.Market] = append(d.byMarket[rec.Market], app)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
+	d.setApps(apps)
 	d.CrawlTime = cfg.StartDate
-	if len(d.Apps) > 0 {
-		d.CrawlTime = d.Apps[len(d.Apps)-1].Meta.UpdateDate
+	if len(apps) > 0 {
+		d.CrawlTime = apps[len(apps)-1].Meta.UpdateDate
 	}
-
-	// Attach profiles for the markets present, canonical study order first,
-	// exactly as BuildDataset does.
-	seen := map[string]bool{}
-	for name := range d.byMarket {
-		seen[name] = true
-	}
-	for _, p := range market.Profiles() {
-		if seen[p.Name] {
-			d.Markets = append(d.Markets, p)
-			delete(seen, p.Name)
-		}
-	}
-	var extra []string
-	for name := range seen {
-		extra = append(extra, name)
-	}
-	sort.Strings(extra)
-	for _, name := range extra {
-		d.Markets = append(d.Markets, market.Profile{Name: name})
-	}
+	// Attach profiles for the markets present, exactly as BuildDataset does.
+	d.attachProfiles()
 	return d, nil
 }

@@ -131,7 +131,7 @@ func lazyRoundTrip(t *testing.T, want *snapshotData) {
 	if lz.cursor != want.cursor || !lz.crawlTime.Equal(want.crawlTime) {
 		t.Fatalf("header mismatch: %d/%v", lz.cursor, lz.crawlTime)
 	}
-	if !reflect.DeepEqual(lz.records, want.records) {
+	if !reflect.DeepEqual(lz.records, recordsOf(want.apps)) {
 		t.Fatal("records mismatch")
 	}
 	if !reflect.DeepEqual(lz.blobs, want.blobs) {
@@ -420,7 +420,7 @@ func TestSnapshotPageRowsPastPageLength(t *testing.T) {
 	var buf bytes.Buffer
 	if err := writeSections(&buf, []section{
 		headerSection(data, snapVersionPaged),
-		recordsSection(data.records),
+		recordsSection(data.apps),
 		blobsSection(data.blobs),
 		colMetaSection(lying),
 		pagesSection(data.columns, metas, pagesLen),

@@ -864,6 +864,45 @@ func TestPruneCountsReadableGenerations(t *testing.T) {
 	requireSameState(t, sourceOf(s3), oracleSource(t, n))
 }
 
+// TestRollbackKeepsNewerSnapshot rolls a store back beside a newer build's
+// generation at the very cursor its next delta reaches. The cadence snapshot
+// at that cursor must write nothing, so the newer build's file stays
+// byte-identical, and a reopen must still recover every acknowledged delta
+// (the WAL holds them).
+func TestRollbackKeepsNewerSnapshot(t *testing.T) {
+	ds, crawlTime := deltas(t)
+	n := uint64(len(ds))
+	fs := errfs.New()
+	s := openStore(t, storeOpts(fs, crawlTime))
+	applyAll(t, s, ds[:n-2])
+	s.Close()
+	path := fmt.Sprintf("data/snap-%016x.snap", n-1)
+	future := append([]byte("MSNAP009"), bytes.Repeat([]byte{0xee}, 200)...)
+	if err := fs.WriteFile(path, future); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := storeOpts(fs, crawlTime)
+	opts.SnapshotEvery = 1
+	s2 := openStore(t, opts)
+	applyAll(t, s2, ds[n-2:n-1])
+	if err := s2.Err(); err != nil {
+		t.Fatalf("cadence snapshot: %v", err)
+	}
+	s2.Close()
+	got, err := fs.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, future) {
+		t.Fatalf("the newer build's generation was replaced by %d bytes of this build's", len(got))
+	}
+
+	s3 := openStore(t, storeOpts(fs, crawlTime))
+	defer s3.Close()
+	requireSameState(t, sourceOf(s3), oracleSource(t, n-1))
+}
+
 // TestStoreRefusesFutureWAL patches the WAL magic to a newer version: Open
 // must fail with ErrWALVersion — refusing to repair, truncate or rename a
 // newer binary's log — and leave the file byte-identical.

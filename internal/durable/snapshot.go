@@ -11,6 +11,7 @@ import (
 	"sort"
 	"time"
 
+	"marketscope/internal/analysis"
 	"marketscope/internal/appmeta"
 	"marketscope/internal/query"
 )
@@ -84,64 +85,66 @@ const (
 // plane.
 const recordFixedBytes = 66 + 4*7
 
-func recordsSection(records []appmeta.Record) section {
-	size := 4 + uint64(recordFixedBytes*len(records))
+// recordsSection encodes the listings' metadata records straight from each
+// App's Meta, in dataset order, without gathering them into a slice first.
+func recordsSection(apps []*analysis.App) section {
+	size := 4 + uint64(recordFixedBytes*len(apps))
 	for _, get := range recordStringFields {
-		for i := range records {
-			size += uint64(len(*get(&records[i])))
+		for _, app := range apps {
+			size += uint64(len(*get(&app.Meta)))
 		}
 	}
 	return section{id: secRecords, size: size, emit: func(sw *sectionWriter) {
-		sw.u32(uint32(len(records)))
-		for i := range records {
-			sw.i64(records[i].VersionCode)
+		sw.u32(uint32(len(apps)))
+		for _, app := range apps {
+			sw.i64(app.Meta.VersionCode)
 			sw.spill()
 		}
-		for i := range records {
-			sw.i64(records[i].Downloads)
+		for _, app := range apps {
+			sw.i64(app.Meta.Downloads)
 			sw.spill()
 		}
-		for i := range records {
-			sw.f64(records[i].Rating)
+		for _, app := range apps {
+			sw.f64(app.Meta.Rating)
 			sw.spill()
 		}
 		for _, get := range []func(*appmeta.Record) time.Time{
 			func(r *appmeta.Record) time.Time { return r.ReleaseDate },
 			func(r *appmeta.Record) time.Time { return r.UpdateDate },
 		} {
-			for i := range records {
-				sw.i64(get(&records[i]).Unix())
+			for _, app := range apps {
+				sw.i64(get(&app.Meta).Unix())
 				sw.spill()
 			}
-			for i := range records {
-				sw.i32(int32(get(&records[i]).Nanosecond()))
+			for _, app := range apps {
+				sw.i32(int32(get(&app.Meta).Nanosecond()))
 				sw.spill()
 			}
-			for i := range records {
-				_, off := get(&records[i]).Zone()
+			for _, app := range apps {
+				_, off := get(&app.Meta).Zone()
 				sw.i32(int32(off))
 				sw.spill()
 			}
 		}
-		for i := range records {
-			sw.i64(records[i].APKSize)
+		for _, app := range apps {
+			sw.i64(app.Meta.APKSize)
 			sw.spill()
 		}
-		for i := range records {
-			sw.bool(records[i].HasAds)
+		for _, app := range apps {
+			sw.bool(app.Meta.HasAds)
 			sw.spill()
 		}
-		for i := range records {
-			sw.bool(records[i].HasIAP)
+		for _, app := range apps {
+			sw.bool(app.Meta.HasIAP)
 			sw.spill()
 		}
 		for _, get := range recordStringFields {
-			for i := range records {
-				sw.u32(uint32(len(*get(&records[i]))))
+			for _, app := range apps {
+				sw.u32(uint32(len(*get(&app.Meta))))
 				sw.spill()
 			}
-			for i := range records {
-				sw.buf = append(sw.buf, *get(&records[i])...)
+			for _, app := range apps {
+				sw.buf = append(sw.buf, *get(&app.Meta)...)
 				sw.spill()
 			}
 		}
@@ -242,12 +245,13 @@ var ErrSnapshotCorrupt = errors.New("durable: snapshot corrupt")
 var ErrSnapshotVersion = errors.New("durable: snapshot in a version this build does not read")
 
 // snapshotData is what one snapshot holds: everything recovery needs to
-// rebuild the ingestor (records + blobs + cursor + crawl time) plus the
-// column store that spares the engine its re-extraction.
+// rebuild the ingestor (the listings' records + blobs + cursor + crawl time)
+// plus the column store that spares the engine its re-extraction. Only each
+// listing's Meta is written.
 type snapshotData struct {
 	cursor    uint64
 	crawlTime time.Time
-	records   []appmeta.Record
+	apps      []*analysis.App
 	blobs     map[appmeta.Key][]byte
 	columns   []query.ColumnData
 }
@@ -274,7 +278,7 @@ func headerSection(data *snapshotData, version uint32) section {
 		sw.u32(version)
 		sw.u64(data.cursor)
 		sw.timeVal(data.crawlTime)
-		sw.u32(uint32(len(data.records)))
+		sw.u32(uint32(len(data.apps)))
 		sw.u32(uint32(len(data.blobs)))
 		sw.u32(uint32(len(data.columns)))
 	}}
@@ -318,7 +322,7 @@ func snapshotSections(data *snapshotData) []section {
 	metas, pagesLen := planPagedColumns(data.columns)
 	return []section{
 		headerSection(data, snapVersionPaged),
-		recordsSection(data.records),
+		recordsSection(data.apps),
 		blobsSection(data.blobs),
 		colMetaSection(metas),
 		pagesSection(data.columns, metas, pagesLen),

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"marketscope/internal/analysis"
 	"marketscope/internal/appmeta"
 	"marketscope/internal/query"
 )
@@ -21,11 +22,11 @@ func testSnapshotData() *snapshotData {
 	return &snapshotData{
 		cursor:    7,
 		crawlTime: time.Date(2018, 6, 1, 12, 0, 0, 0, time.UTC),
-		records: []appmeta.Record{
+		apps: listingsOf(
 			testRecord("m1", "com.a"),
 			testRecord("m1", "com.b"),
 			testRecord("m2", "com.a"),
-		},
+		),
 		blobs: map[appmeta.Key][]byte{
 			{Market: "m1", Package: "com.a"}: {0xde, 0xad},
 			{Market: "m1", Package: "com.b"}: {},
@@ -76,6 +77,24 @@ func testSnapshotData() *snapshotData {
 	}
 }
 
+// listingsOf wraps records as the dataset listings a snapshot writes.
+func listingsOf(records ...appmeta.Record) []*analysis.App {
+	apps := make([]*analysis.App, len(records))
+	for i := range records {
+		apps[i] = &analysis.App{Meta: records[i]}
+	}
+	return apps
+}
+
+// recordsOf returns the listings' records.
+func recordsOf(apps []*analysis.App) []appmeta.Record {
+	records := make([]appmeta.Record, len(apps))
+	for i, app := range apps {
+		records[i] = app.Meta
+	}
+	return records
+}
+
 // encodeSnapshot is the streamed writer aimed at memory: the exact bytes
 // writeSnapshot puts in a file.
 func encodeSnapshot(data *snapshotData) []byte {
@@ -94,7 +113,7 @@ func loadFull(fsys FS, path string) (*snapshotData, error) {
 	if err != nil {
 		return nil, err
 	}
-	data := &snapshotData{cursor: lz.cursor, crawlTime: lz.crawlTime, records: lz.records, blobs: lz.blobs}
+	data := &snapshotData{cursor: lz.cursor, crawlTime: lz.crawlTime, apps: listingsOf(lz.records...), blobs: lz.blobs}
 	if lz.fetcher != nil {
 		if data.columns, err = lz.fetcher.loadColumns(); err != nil {
 			return nil, err
@@ -122,7 +141,7 @@ func TestSnapshotCodecRoundTrip(t *testing.T) {
 	if got.cursor != want.cursor || !got.crawlTime.Equal(want.crawlTime) {
 		t.Fatalf("header mismatch: %d/%v", got.cursor, got.crawlTime)
 	}
-	if !reflect.DeepEqual(got.records, want.records) {
+	if !reflect.DeepEqual(recordsOf(got.apps), recordsOf(want.apps)) {
 		t.Fatal("records mismatch")
 	}
 	if !reflect.DeepEqual(got.blobs, want.blobs) {
@@ -179,8 +198,8 @@ func TestSnapshotWriteLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if got.cursor != want.cursor || len(got.records) != len(want.records) {
-		t.Fatalf("reloaded cursor %d records %d", got.cursor, len(got.records))
+	if got.cursor != want.cursor || len(got.apps) != len(want.apps) {
+		t.Fatalf("reloaded cursor %d records %d", got.cursor, len(got.apps))
 	}
 	// No temp file left behind.
 	entries, err := os.ReadDir(dir)
@@ -366,7 +385,7 @@ func TestTortureSnapshotLengthMismatch(t *testing.T) {
 		mutate func(*snapshotData)
 		want   string
 	}{
-		{"records", func(d *snapshotData) { d.records[0].AppName += "x" }, "section 2 wrote"},
+		{"records", func(d *snapshotData) { d.apps[0].Meta.AppName += "x" }, "section 2 wrote"},
 		{"blobs", func(d *snapshotData) { d.blobs[appmeta.Key{Market: "m1", Package: "com.b"}] = []byte{1} }, "section 3 wrote"},
 		{"colmeta", func(d *snapshotData) { d.columns[2].Dict[0] += "x" }, "section 6 wrote"},
 		{"pages", func(d *snapshotData) { d.columns[3].Strs[0] += "x" }, `column "app_name" page at 84 encoded 20 bytes, planned 19`},
@@ -382,7 +401,7 @@ func TestTortureSnapshotLengthMismatch(t *testing.T) {
 	dir := t.TempDir()
 	data := testSnapshotData()
 	secs := snapshotSections(data)
-	data.records[0].AppName += "x"
+	data.apps[0].Meta.AppName += "x"
 	if _, err := writeSnapshotFile(OSFS, dir, snapshotName(data.cursor), secs); err == nil {
 		t.Fatal("a section longer than declared was written")
 	}

@@ -486,16 +486,23 @@ func (s *Store) Err() error {
 
 // WriteSnapshot persists the current cursor, dataset and APK blobs as a new
 // snapshot generation and prunes old ones. Safe to call concurrently with
-// Apply — the ingestor hands out all three as one consistent state.
+// Apply — the ingestor hands out all three as one consistent state. At the
+// cursor of a generation recovery refused (ErrSnapshotVersion: a format this
+// build does not read, such as a newer build's) it writes nothing: replacing
+// that file would lose the other build's data, and the WAL still holds
+// every acknowledged delta.
 func (s *Store) WriteSnapshot() error {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	start := time.Now()
 	cursor, ds, blobs := s.ing.Snapshot()
+	if s.unread[joinPath(s.dir, snapshotName(cursor))] {
+		return nil
+	}
 	data := &snapshotData{cursor: cursor, crawlTime: time.Time{}}
 	if ds != nil {
 		data.crawlTime = ds.CrawlTime
-		data.records = ds.Records()
+		data.apps = ds.Apps
 		cols, err := ds.ExportQueryColumns()
 		if err != nil {
 			return err

@@ -16,6 +16,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -24,6 +26,7 @@ import (
 	"marketscope/internal/appmeta"
 	"marketscope/internal/crawler"
 	"marketscope/internal/ingest"
+	"marketscope/internal/libdetect"
 	"marketscope/internal/market"
 	"marketscope/internal/query"
 	"marketscope/internal/synth"
@@ -398,6 +401,61 @@ func TestIncrementalMatchesColdBuild(t *testing.T) {
 			t.Logf("seed %d: %d batches, %d sealed", seed, seq, sealedBatches)
 		})
 	}
+
+	// A forced detection change on the previous epoch's last APK-bearing
+	// row: the metadata-only listings (if any) land first, then one listing
+	// L with an APK alone, then every other listing with one. L detects a
+	// library learned from the corpus (not in the catalog), which no feature
+	// observation of L alone can establish, so the last batch changes L's
+	// detections. Random partitions rarely change the one row that a
+	// re-detection pass over every APK row must not skip.
+	t.Run("held_back_library", func(t *testing.T) {
+		t.Parallel()
+		full, err := analysis.BuildDatasetFromRecords(snap.CrawlTime, records, snap.APK, analysis.BuildOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		full.Enrich(enrichOpts())
+		var last appmeta.Record
+		var rest, held []ingest.Listing
+		for _, app := range full.Apps {
+			switch {
+			case !app.HasAPK():
+				rest = append(rest, listingFor(snap, app.Meta))
+			case last.Package == "" && slices.ContainsFunc(app.Libraries, func(d libdetect.Detection) bool { return !d.Known }):
+				last = app.Meta
+			default:
+				held = append(held, listingFor(snap, app.Meta))
+			}
+		}
+		if last.Package == "" {
+			t.Fatal("no listing detects a library learned from the corpus")
+		}
+		ing := ingest.New(ingest.Options{Enrich: enrichOpts(), CrawlTime: snap.CrawlTime})
+		var keptOrder []appmeta.Record
+		for seq, batch := range [][]ingest.Listing{rest, {listingFor(snap, last)}, held} {
+			if _, err := ing.Apply(ingest.Delta{Seq: uint64(seq), Listings: batch}); err != nil {
+				t.Fatalf("batch %d: %v", seq, err)
+			}
+			sortListings(batch)
+			for _, l := range batch {
+				keptOrder = append(keptOrder, l.Record)
+			}
+			if d := ing.Dataset(); d != nil {
+				d.QuerySource() // arms the sealed append
+			}
+			if seq == 1 {
+				full = ing.Dataset()
+			}
+		}
+		before := full.Apps[len(full.Apps)-1]
+		after := ing.Dataset().Apps[len(full.Apps)-1]
+		if before.Meta.Key() != last.Key() || reflect.DeepEqual(before.Libraries, after.Libraries) {
+			t.Fatalf("the final batch did not change the detections of the previous epoch's last row %s/%s (%v)",
+				last.Market, last.Package, before.Libraries)
+		}
+		requireEquivalent(t, rand.New(rand.NewSource(5)), ing.Dataset().QuerySource(), coldSource(t, snap, keptOrder))
+	})
 }
 
 // sortListings orders a batch canonically by (market, package), mirroring the

@@ -32,7 +32,7 @@ func appendPair(rng *rand.Rand, base, added []row, plain bool) (appended, cold *
 			return nil, nil, err
 		}
 	}
-	appended, err = NewEngineAppend(newReg(), baseEng, added)
+	appended, err = NewEngineAppend(newReg(), baseEng, all)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -107,7 +107,7 @@ func TestAppendReusesBuiltColumns(t *testing.T) {
 		t.Fatalf("warm scan: %v", err)
 	}
 	calls = 0
-	appended, err := NewEngineAppend(counting(), baseEng, added)
+	appended, err := NewEngineAppend(counting(), baseEng, append(base, added...))
 	if err != nil {
 		t.Fatalf("append: %v", err)
 	}
@@ -131,7 +131,7 @@ func TestAppendRegistryMismatch(t *testing.T) {
 	renamed := NewRegistry[row]()
 	renamed.MustRegister(Field[row]{Name: "nom", Kind: KindString,
 		Extract: func(x row) (any, bool) { return x.name, true }})
-	if _, err := NewEngineAppend(renamed, base, nil); err == nil {
+	if _, err := NewEngineAppend(renamed, base, testRows()); err == nil {
 		t.Fatal("append accepted a registry with a different field count")
 	}
 
@@ -144,7 +144,7 @@ func TestAppendRegistryMismatch(t *testing.T) {
 		}
 		shadow.MustRegister(g)
 	}
-	if _, err := NewEngineAppend(shadow, base, nil); err == nil {
+	if _, err := NewEngineAppend(shadow, base, testRows()); err == nil {
 		t.Fatal("append accepted a registry with a re-kinded field")
 	}
 }
@@ -158,7 +158,8 @@ func TestAppendWhileBaseServes(t *testing.T) {
 	base := randomRows(rng, 300)
 	added := randomRows(rng, 60)
 	baseEng := NewEngine(testDictRegistry(), base)
-	cold := NewEngine(testDictRegistry(), append(append([]row{}, base...), added...))
+	all := append(append([]row{}, base...), added...)
+	cold := NewEngine(testDictRegistry(), all)
 
 	queries := make([]Query, 8)
 	for i := range queries {
@@ -196,7 +197,7 @@ func TestAppendWhileBaseServes(t *testing.T) {
 		}(w)
 	}
 	for round := 0; round < 5; round++ {
-		appended, err := NewEngineAppend(testDictRegistry(), baseEng, added)
+		appended, err := NewEngineAppend(testDictRegistry(), baseEng, all)
 		if err != nil {
 			t.Fatalf("append round %d: %v", round, err)
 		}
@@ -210,6 +211,82 @@ func TestAppendWhileBaseServes(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+}
+
+// TestAppendForkCopiesClaimedColumns builds two appends of different deltas
+// from one warmed base whose planes have spare capacity. Only the first may
+// write into that capacity; the second finds every column claimed and copies
+// it. Both must equal their cold builds, and the first and the base must
+// still equal theirs after the second is built, while scans on the base and
+// the first append run beside that build. Run under -race.
+func TestAppendForkCopiesClaimedColumns(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	// The base is itself an append, so its planes have room past its rows.
+	_, base, _ := chainAppends(t, [][]row{
+		layoutRows(rng, 300, testMarkets, nil, false, false),
+		layoutRows(rng, 40, testMarkets, nil, false, false),
+	}, false)
+	n := base.Len()
+	itemsA := append(base.items, layoutRows(rng, 50, testMarkets, nil, false, false)...)
+	itemsB := append(base.items[:n:n], layoutRows(rng, 70, testMarkets, nil, true, true)...)
+	cold := func(items []row) *Engine[row] {
+		return NewEngine(testLayoutRegistry(), append([]row{}, items...))
+	}
+	coldBase, coldA, coldB := cold(base.items), cold(itemsA), cold(itemsB)
+
+	a, err := NewEngineAppend(testLayoutRegistry(), base, itemsA)
+	if err != nil {
+		t.Fatalf("first append: %v", err)
+	}
+	requireSameLayout(t, a, coldA, true)
+
+	queries := make([]Query, 6)
+	for i := range queries {
+		queries[i] = randomQuery(rng)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w, pair := range [][2]*Engine[row]{{base, coldBase}, {a, coldA}} {
+		wg.Add(1)
+		go func(w int, got, want *Engine[row]) {
+			defer wg.Done()
+			for i := w; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				q := queries[i%len(queries)]
+				res, err1 := got.Scan(q)
+				ref, err2 := want.Scan(q)
+				if err1 != nil || err2 != nil {
+					t.Errorf("scan beside the fork: %v / %v", err1, err2)
+					return
+				}
+				requireSameResult(t, q, res, ref)
+			}
+		}(w, pair[0], pair[1])
+	}
+	b, err := NewEngineAppend(testLayoutRegistry(), base, itemsB)
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatalf("fork: %v", err)
+	}
+	requireSameLayout(t, b, coldB, true)
+	requireSameLayout(t, a, coldA, true)
+	requireSameLayout(t, base, coldBase, true)
+
+	// Observe the routes: the first append grew the base's planes in place,
+	// the fork copied them.
+	ord := base.ordinals["size"]
+	bc, ac, fc := base.cols[ord].col.Load(), a.cols[ord].col.Load(), b.cols[ord].col.Load()
+	if &ac.ints[0] != &bc.ints[0] {
+		t.Fatal("the first append copied the base's planes instead of growing them in place")
+	}
+	if &fc.ints[0] == &bc.ints[0] {
+		t.Fatal("the fork wrote into planes the first append claimed")
+	}
 }
 
 // TestRetiredEngineFreedByOneGC: once nothing references an engine that
@@ -335,7 +412,10 @@ func requireSameLayout(t *testing.T, got, want *Engine[row], all bool) {
 
 // chainAppends builds a base engine over parts[0], warms every column and
 // sorted index, then seals each later part onto the previous epoch, checking
-// every epoch's layout against a cold build over the same prefix. With plain
+// every epoch's layout against a cold build over the same prefix. The items
+// grow in one slice, as ingest grows them, and every epoch after the first
+// writes into its predecessor's spare capacity; so once the chain is done,
+// every earlier epoch is checked again against its cold build. With plain
 // set, the registry is testPlainLayoutRegistry. It returns the base, the
 // final epoch and the cold build over all parts.
 func chainAppends(t *testing.T, parts [][]row, plain bool) (base, last, cold *Engine[row]) {
@@ -349,16 +429,22 @@ func chainAppends(t *testing.T, parts [][]row, plain bool) (base, last, cold *En
 	for ord := range base.sortedIdx {
 		base.sortedFor(ord) // builds the column too
 	}
+	epochs := []*Engine[row]{base}
+	colds := []*Engine[row]{NewEngine(newReg(), all)}
 	last, cold = base, base
 	for i, part := range parts[1:] {
-		next, err := NewEngineAppend(newReg(), last, part)
+		all = append(all, part...)
+		next, err := NewEngineAppend(newReg(), last, all)
 		if err != nil {
 			t.Fatalf("append %d: %v", i+1, err)
 		}
-		all = append(all, part...)
 		cold = NewEngine(newReg(), all)
 		requireSameLayout(t, next, cold, true)
+		epochs, colds = append(epochs, next), append(colds, cold)
 		last = next
+	}
+	for i := range epochs {
+		requireSameLayout(t, epochs[i], colds[i], true)
 	}
 	return base, last, cold
 }
@@ -646,7 +732,7 @@ func TestAppendWhileBaseBuildsSortedIndexes(t *testing.T) {
 			}(w)
 		}
 		for i := 0; i < 3; i++ {
-			appended, err := NewEngineAppend(testLayoutRegistry(), baseEng, added)
+			appended, err := NewEngineAppend(testLayoutRegistry(), baseEng, all)
 			if err != nil {
 				t.Fatalf("round %d: append: %v", round, err)
 			}

@@ -57,7 +57,9 @@ func (b bitset) get(i int) bool { return b[i>>6]&(1<<(uint(i)&63)) != 0 }
 // column is one field materialized as a typed slice plus a null bitmap.
 // Exactly one of the value slices is populated, selected by kind, so filter
 // and sort evaluation becomes tight loops over machine types instead of
-// boxed extractor calls. A column is immutable once built.
+// boxed extractor calls. A column is immutable once built, below its length:
+// the one append that claims it (colSlot.claimed) may write past its length
+// into its planes' spare capacity, which the column never reads.
 type column struct {
 	kind      Kind
 	nulls     bitset
@@ -103,10 +105,13 @@ type column struct {
 // colSlot is the lazy holder of one field's column: built at most once per
 // engine, concurrently safe. The pointer is atomic so NewEngineAppend can
 // peek at which columns a live engine has already built without racing the
-// sync.Once that builds them.
+// sync.Once that builds them. claimed is set by the one append that may
+// write into the spare capacity of the column's planes; every other append
+// from this engine copies them.
 type colSlot struct {
-	once sync.Once
-	col  atomic.Pointer[column]
+	once    sync.Once
+	col     atomic.Pointer[column]
+	claimed atomic.Bool
 }
 
 // buildColumn materializes a field over every item (extractColumn), then

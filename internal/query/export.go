@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"marketscope/internal/pipeline"
 )
@@ -87,21 +88,24 @@ func (e *Engine[T]) ExportColumns() []ColumnData {
 		} else {
 			c = e.columnFor(ord)
 		}
+		// Every plane leaves capacity-capped: its spare capacity belongs to
+		// the append that claims the column, and an append to an exported
+		// plane must not write into it.
 		cd := ColumnData{
 			Name:      name,
 			Kind:      c.kind,
-			NullWords: c.nulls,
+			NullWords: slices.Clip(c.nulls),
 			NullCount: c.nullCount,
 			HasNaN:    c.hasNaN,
-			Ints:      c.ints,
-			Floats:    c.floats,
-			Strs:      c.strs,
-			Bools:     c.bools,
-			TimeSec:   c.timeSec,
-			TimeNsec:  c.timeNsec,
-			TimeOff:   c.timeOff,
-			Dict:      c.dict,
-			Codes:     c.codes,
+			Ints:      slices.Clip(c.ints),
+			Floats:    slices.Clip(c.floats),
+			Strs:      slices.Clip(c.strs),
+			Bools:     slices.Clip(c.bools),
+			TimeSec:   slices.Clip(c.timeSec),
+			TimeNsec:  slices.Clip(c.timeNsec),
+			TimeOff:   slices.Clip(c.timeOff),
+			Dict:      slices.Clip(c.dict),
+			Codes:     slices.Clip(c.codes),
 		}
 		if c.kind == KindString && c.strs == nil && c.dict == nil {
 			// A fully-null dictionary column degenerates to nil slices when
@@ -209,7 +213,9 @@ func NewEngineFromColumns[T any](reg *Registry[T], items []T, cols []ColumnData)
 }
 
 // importColumn validates one exported column against the row count and
-// reassembles the internal representation.
+// reassembles the internal representation. The value planes are adopted
+// capacity-capped: the engine owns no memory past their lengths, so the
+// first append to claim the column copies them.
 func importColumn(dictionaryHint bool, cd *ColumnData, n int) (*column, error) {
 	c := &column{kind: cd.Kind, nulls: bitset(cd.NullWords), nullCount: cd.NullCount, hasNaN: cd.HasNaN}
 	if len(cd.NullWords) != (n+63)/64 {
@@ -239,7 +245,7 @@ func importColumn(dictionaryHint bool, cd *ColumnData, n int) (*column, error) {
 		if err := wantLen("int column", len(cd.Ints)); err != nil {
 			return nil, err
 		}
-		c.ints = cd.Ints
+		c.ints = slices.Clip(cd.Ints)
 	case KindFloat:
 		if err := wantLen("float column", len(cd.Floats)); err != nil {
 			return nil, err
@@ -254,12 +260,12 @@ func importColumn(dictionaryHint bool, cd *ColumnData, n int) (*column, error) {
 		if hasNaN != cd.HasNaN {
 			return nil, fmt.Errorf("hasNaN flag %v does not match values (%v)", cd.HasNaN, hasNaN)
 		}
-		c.floats = cd.Floats
+		c.floats = slices.Clip(cd.Floats)
 	case KindBool:
 		if err := wantLen("bool column", len(cd.Bools)); err != nil {
 			return nil, err
 		}
-		c.bools = cd.Bools
+		c.bools = slices.Clip(cd.Bools)
 	case KindTime:
 		if err := wantLen("time seconds", len(cd.TimeSec)); err != nil {
 			return nil, err
@@ -273,7 +279,7 @@ func importColumn(dictionaryHint bool, cd *ColumnData, n int) (*column, error) {
 				return nil, fmt.Errorf("row %d has nanoseconds %d out of range", i, nsec)
 			}
 		}
-		c.timeSec, c.timeNsec, c.timeOff = cd.TimeSec, cd.TimeNsec, cd.TimeOff
+		c.timeSec, c.timeNsec, c.timeOff = slices.Clip(cd.TimeSec), slices.Clip(cd.TimeNsec), slices.Clip(cd.TimeOff)
 	case KindString:
 		if cd.Dict != nil {
 			if !dictionaryHint {
@@ -298,12 +304,12 @@ func importColumn(dictionaryHint bool, cd *ColumnData, n int) (*column, error) {
 					return nil, fmt.Errorf("row %d has code %d past dictionary size %d", i, code, len(cd.Dict))
 				}
 			}
-			c.dict, c.codes = cd.Dict, cd.Codes
+			c.dict, c.codes = slices.Clip(cd.Dict), slices.Clip(cd.Codes)
 		} else {
 			if err := wantLen("string column", len(cd.Strs)); err != nil {
 				return nil, err
 			}
-			c.strs = cd.Strs
+			c.strs = slices.Clip(cd.Strs)
 		}
 	default:
 		return nil, fmt.Errorf("unknown kind %q", cd.Kind)

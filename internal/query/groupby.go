@@ -138,7 +138,13 @@ func (e *Engine[T]) groupRows(ctx context.Context, pa *preparedAgg[T], matched [
 	if keyAt, keyBits, ok := packedKeyer(groupCols); ok {
 		return groupRowsPacked(ctx, cancel, matched, keyAt, keyBits)
 	}
+	return groupRowsBytes(ctx, cancel, matched, groupCols)
+}
 
+// groupRowsBytes is groupRows' general path: each row's group key is the
+// byte encoding of its values in groupCols, grouped through a string map
+// per chunk.
+func groupRowsBytes(ctx context.Context, cancel canceler, matched []int32, groupCols []*column) ([]*colGroup, error) {
 	// chunkGroups is one chunk's partial grouping: keys in first-occurrence
 	// order plus the rows collected under each. nil marks a chunk abandoned
 	// to cancellation.

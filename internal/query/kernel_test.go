@@ -1,6 +1,7 @@
 package query
 
 import (
+	"context"
 	"fmt"
 	"hash/fnv"
 	"math"
@@ -258,11 +259,17 @@ func TestResidualKernelsMatchOracle(t *testing.T) {
 // TestPackedGroupKeysWithBools groups by dictionary × bool, bool × bool
 // and a nullable bool alone, on the dense counting-sort path (many matched
 // rows) and on the map path (too few matched rows for a dense table), and
-// checks group order and rows against the oracle. A lone bool's key space
-// is four slots, which any matched row makes dense, so it has no map case.
+// checks group order and rows against the oracle and the packed key width
+// against the summed column widths (bits.Len of the dictionary size, two
+// bits a bool). It observes the route groupRows takes over the same matched
+// rows instead of recomputing it: the packed route allocates less than the
+// byte-key route, and on the dense cases less than the packed map path
+// (forced with a key width past denseKeyBits). A lone bool's key space is
+// four slots, which any matched row makes dense, so it has no map case.
 func TestPackedGroupKeysWithBools(t *testing.T) {
 	rows := kernelRows(3*segmentSize+17, true)
 	e := NewEngine(kernelRegistry(), rows)
+	ctx := context.Background()
 	for _, tc := range []struct {
 		groupBy []string
 		mapPath bool
@@ -277,7 +284,7 @@ func TestPackedGroupKeysWithBools(t *testing.T) {
 				wantBits += 2
 			}
 		}
-		_, keyBits, ok := packedKeyer(cols)
+		keyAt, keyBits, ok := packedKeyer(cols)
 		if !ok || keyBits != wantBits {
 			t.Fatalf("group by %v: packedKeyer = %d bits, ok %v; want %d bits", tc.groupBy, keyBits, ok, wantBits)
 		}
@@ -297,13 +304,41 @@ func TestPackedGroupKeysWithBools(t *testing.T) {
 				t.Fatal(err)
 			}
 			requireSameAggregate(t, a, planned, oracle)
-			// groupRowsPacked takes the dense table exactly when the key
-			// space is small against the matched rows.
-			if dense := 1<<keyBits <= 8*planned.Meta.TotalMatched; dense != (filters == nil) {
-				t.Fatalf("group by %v over %d rows: dense path %v", tc.groupBy, planned.Meta.TotalMatched, dense)
-			}
 			if filters == nil && len(planned.Rows) < 3 {
 				t.Fatalf("group by %v formed only %d groups", tc.groupBy, len(planned.Rows))
+			}
+
+			pa, err := e.prepareAggregate(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			matched, _, err := e.planMatch(ctx, pa.filters)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// AllocsPerRun pins GOMAXPROCS to 1, so every count is
+			// deterministic.
+			allocs := func(group func() ([]*colGroup, error)) float64 {
+				return testing.AllocsPerRun(5, func() {
+					if _, err := group(); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+			route := allocs(func() ([]*colGroup, error) { return e.groupRows(ctx, pa, matched) })
+			byteKeys := allocs(func() ([]*colGroup, error) {
+				return groupRowsBytes(ctx, newCanceler(ctx), matched, cols)
+			})
+			mapped := allocs(func() ([]*colGroup, error) {
+				return groupRowsPacked(ctx, newCanceler(ctx), matched, keyAt, denseKeyBits+1)
+			})
+			if route >= byteKeys {
+				t.Fatalf("group by %v over %d rows: %v allocations, the byte-key route makes %v; want fewer (packed keys)",
+					tc.groupBy, len(matched), route, byteKeys)
+			}
+			if dense := route < mapped; dense != (filters == nil) {
+				t.Fatalf("group by %v over %d rows: dense path %v (%v allocations, the packed map path makes %v)",
+					tc.groupBy, len(matched), dense, route, mapped)
 			}
 		}
 	}

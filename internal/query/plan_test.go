@@ -538,7 +538,7 @@ func TestPlanarTimeEdges(t *testing.T) {
 			{Field: "date", Op: OpGe, Value: "1969-12-31T23:59:59Z"}}}); err != nil {
 			t.Fatalf("warm: %v", err)
 		}
-		if appended, err = NewEngineAppend(reg, appended, rows[cut[0]:cut[1]]); err != nil {
+		if appended, err = NewEngineAppend(reg, appended, rows[:cut[1]]); err != nil {
 			t.Fatalf("append %v: %v", cut, err)
 		}
 	}
