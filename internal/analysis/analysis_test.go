@@ -429,7 +429,7 @@ func TestIdenticalAppsSection53(t *testing.T) {
 	f := testFixture(t)
 	stats := IdenticalApps(f.dataset)
 	if stats.Triples == 0 {
-		t.Skip("no multi-market triples in this corpus")
+		t.Fatal("no multi-market triples in this corpus")
 	}
 	if stats.HashMismatchTriples == 0 {
 		t.Error("channel files should make multi-market archives differ")
@@ -597,7 +597,8 @@ func TestPostAnalysisTable6(t *testing.T) {
 		}
 	}
 	if gp.FlaggedFirstCrawl == 0 || nCN == 0 {
-		t.Skip("not enough flagged listings for removal comparison")
+		t.Fatalf("not enough flagged listings for removal comparison: %d flagged on Google Play, %d Chinese markets with any",
+			gp.FlaggedFirstCrawl, nCN)
 	}
 	if gp.RemovedShare <= sumCN/float64(nCN) {
 		t.Errorf("Google Play removal share (%.2f) should exceed Chinese average (%.2f)",

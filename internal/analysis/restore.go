@@ -15,8 +15,7 @@ import (
 // spare the engine its boxed re-extraction of every field over every row.
 
 // ExportQueryColumns materializes and exports every query field's column
-// (plus the bitmap posting lists of indexed dictionary fields) from the
-// dataset's cached engine. The dataset must be enriched — an unenriched
+// from the dataset's cached engine. The dataset must be enriched — an unenriched
 // column store would be missing every enrichment field and is not worth
 // persisting.
 func (d *Dataset) ExportQueryColumns() ([]query.ColumnData, error) {

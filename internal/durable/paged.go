@@ -129,7 +129,6 @@ func planPagedColumns(cols []query.ColumnData) ([]pagedColumn, uint64) {
 			Name: cd.Name, Kind: cd.Kind,
 			NullWords: cd.NullWords, NullCount: cd.NullCount, HasNaN: cd.HasNaN,
 			Dict: cd.Dict, SegmentRows: cd.SegmentRows, Zones: cd.Zones,
-			Postings: cd.Postings,
 		}
 		if cd.Kind == query.KindString && cd.Dict != nil {
 			m.layout = strLayoutDict
@@ -285,7 +284,7 @@ func decodePageInto(cd *query.ColumnData, layout uint8, lo, hi int, payload []by
 // the page decoder to fill from mem: memory a page pool lends, or fresh
 // zeroed slices when mem is nil. The decoder writes every row, so a lent
 // plane's old contents never show. The metadata slices (null bitmap,
-// dictionary, zones, postings) are shared, not copied — they are immutable.
+// dictionary, zones) are shared, not copied — they are immutable.
 func (m *pagedColumn) newColumnData(mem *query.PageMemory) query.ColumnData {
 	cd := m.meta
 	n := m.rows
@@ -327,14 +326,8 @@ func colMetaSection(metas []pagedColumn) section {
 			}
 		}
 		size += 4 + 4 + 16*uint64(len(cd.Zones)) // segment rows, zones
-		size++                                   // postings flag
-		if cd.Postings != nil {
-			size += 4
-			for _, rows := range cd.Postings {
-				size += 4 + 4*uint64(len(rows))
-			}
-		}
-		size += 8 + 4 + 16*uint64(len(m.pages)) // value bytes, page table
+		size++                                   // posting-list flag
+		size += 8 + 4 + 16*uint64(len(m.pages))  // value bytes, page table
 	}
 	return section{id: secColMeta, size: size, emit: func(sw *sectionWriter) {
 		sw.u32(uint32(len(metas)))
@@ -372,17 +365,8 @@ func colMetaSection(metas []pagedColumn) section {
 				sw.i32(z.MaxRow)
 				sw.spill()
 			}
-			sw.bool(cd.Postings != nil)
-			if cd.Postings != nil {
-				sw.u32(uint32(len(cd.Postings)))
-				for _, rows := range cd.Postings {
-					sw.u32(uint32(len(rows)))
-					for _, r := range rows {
-						sw.i32(r)
-						sw.spill()
-					}
-				}
-			}
+			// No posting lists: readers build dictionary bitmaps from codes.
+			sw.bool(false)
 			sw.u64(uint64(m.valueBytes))
 			sw.u32(uint32(len(m.pages)))
 			for _, p := range m.pages {
@@ -448,10 +432,11 @@ func decodeColMetaSection(payload []byte, numColumns int, pagesLen uint64) ([]pa
 			cd.Zones = nil
 		}
 		if d.bool() {
+			// Files from earlier builds list each dictionary code's rows
+			// here. They are skipped; the section's CRC still covers them.
 			np := d.count(4)
-			cd.Postings = make([][]int32, 0, np)
 			for p := 0; p < np && d.err == nil; p++ {
-				cd.Postings = append(cd.Postings, d.i32s(d.count(4)))
+				d.take(4 * d.count(4))
 			}
 		}
 		m.valueBytes = int64(d.u64())

@@ -88,7 +88,6 @@ func multiPageSnapshotData() *snapshotData {
 			Name: "market", Kind: query.KindString, NullWords: []uint64{0},
 			Dict: []string{"", "m1", "m2"}, Codes: []uint32{1, 1, 2, 0, 2, 1, 1},
 			SegmentRows: 4096, Zones: zone(0, 3, 2),
-			Postings: [][]int32{{3}, {0, 1, 5, 6}, {2, 4}},
 		},
 		{
 			Name: "app_name", Kind: query.KindString, NullWords: []uint64{0x20}, NullCount: 1,

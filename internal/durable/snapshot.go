@@ -25,8 +25,9 @@ import (
 //	             struct-of-arrays (one plane per field; see below)
 //	  3 blobs:   the APK bytes of every ingested key that supplied one
 //	  6 colmeta: per column, everything but the value planes (null bitmap,
-//	             dictionary, zone maps, posting lists) plus the page table
-//	             locating the planes inside section 7
+//	             dictionary, zone maps, a posting-list flag that is false
+//	             since files stopped carrying posting lists) plus the page
+//	             table locating the planes inside section 7
 //	  7 pages:   per-page frames [ len u32 | crc u32 | payload ] of column
 //	             value planes — individually checksummed so a reader can
 //	             fetch and verify one column without touching the rest

@@ -51,7 +51,6 @@ func testSnapshotData() *snapshotData {
 				Dict:      []string{"m1", "m2"}, Codes: []uint32{0, 0, 1},
 				SegmentRows: 4096,
 				Zones:       []query.ZoneData{{Rows: 3, MinRow: 0, MaxRow: 2}},
-				Postings:    [][]int32{{0, 1}, {2}},
 			},
 			{
 				Name: "app_name", Kind: query.KindString,
@@ -280,9 +279,10 @@ func FuzzWALReplay(f *testing.F) {
 
 // FuzzSnapshotLoad and FuzzPagedFetch run arbitrary bytes through the one
 // snapshot reader with the same check, checkSnapshotReader; they differ only
-// in their seeds. FuzzSnapshotLoad starts from single-page files and bare
-// headers.
+// in their seeds. Both start from the files with posting lists under
+// testdata. FuzzSnapshotLoad adds single-page files and bare headers.
 func FuzzSnapshotLoad(f *testing.F) {
+	addPostingsFiles(f)
 	f.Add(encodeSnapshot(testSnapshotData()))
 	f.Add(encodeSnapshot(&snapshotData{}))
 	f.Add([]byte(snapMagic))
@@ -291,10 +291,10 @@ func FuzzSnapshotLoad(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { checkSnapshotReader(t, dir, data) })
 }
 
-// FuzzPagedFetch starts from files whose columns span several page frames
-// (pageRows 2 encodings) and from a version-1 header, which the reader
-// refuses.
+// FuzzPagedFetch adds files whose columns span several page frames
+// (pageRows 2 encodings) and a version-1 header, which the reader refuses.
 func FuzzPagedFetch(f *testing.F) {
+	addPostingsFiles(f)
 	f.Add(encodeSnapshot(multiPageSnapshotData()))
 	f.Add(patchHeaderVersion(encodeSnapshot(testSnapshotData()), 1))
 	f.Add(encodeSnapshot(&snapshotData{}))
@@ -341,9 +341,10 @@ func checkSnapshotReader(t *testing.T, dir string, data []byte) {
 }
 
 // TestSnapshotGoldenBytes pins the version-2 bytes the writer produces: a
-// length and SHA-256 per fixture and page geometry, recorded from the
-// whole-file encoder the streamed writer replaced. Any change to the layout,
-// the section order or a checksum moves a digest.
+// length and SHA-256 per fixture and page geometry. Any change to the
+// layout, the section order or a checksum moves a digest. The bytes of
+// files that still carried posting lists are pinned by the files under
+// testdata (TestLoadsFilesWithPostingLists).
 func TestSnapshotGoldenBytes(t *testing.T) {
 	for _, tc := range []struct {
 		pageRows int
@@ -352,14 +353,14 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 		size     int
 		sha256   string
 	}{
-		{32768, "test", testSnapshotData, 1443, "7b9931aaaddddd99501a6d71c25cf6acb4f738cc5407b81eca028e11647c18f4"},
-		{32768, "multi", multiPageSnapshotData, 1777, "8b114fc35b91bbaabe8e98eae7d1e81a60140272ac8d0f7390c13e8652fa0c12"},
+		{32768, "test", testSnapshotData, 1419, "85fb6b8411cf2236d36df34a8d6ed79a993358b5028c13bf53ca31a0ef26a1ea"},
+		{32768, "multi", multiPageSnapshotData, 1733, "bc7847986252f395171886a16d5ddde4de104a8ab6db55ee840457680b54098e"},
 		{32768, "empty", emptySnapshotData, 164, "0bf6427b3754bf09e578ee7316bcffdabd5a561d94f42c1813e0a3f91e16ff18"},
-		{2, "test", testSnapshotData, 1591, "f06df0a3f391bb55a2464c62a708c17829d7197ff088a7a8006948b98bcf4dee"},
-		{2, "multi", multiPageSnapshotData, 2305, "3a9d63f51825b79cd6594b8855fa3afa0730254283caf438518ffa3f68f2c7e7"},
+		{2, "test", testSnapshotData, 1567, "a88152a5ed281cba332bdd27f9b85d129753db7512777c1e9ca853dc21d79559"},
+		{2, "multi", multiPageSnapshotData, 2261, "c20f9c56ebe5f4d3688094e2681ed19cb305f4e93af0d7328489cfd0c42a95d7"},
 		{2, "empty", emptySnapshotData, 164, "0bf6427b3754bf09e578ee7316bcffdabd5a561d94f42c1813e0a3f91e16ff18"},
-		{3, "test", testSnapshotData, 1443, "7b9931aaaddddd99501a6d71c25cf6acb4f738cc5407b81eca028e11647c18f4"},
-		{3, "multi", multiPageSnapshotData, 2129, "9dde99037817e13ef785e96ac6da72a4d0fdd59783979274a7f3c0aa4b16c9da"},
+		{3, "test", testSnapshotData, 1419, "85fb6b8411cf2236d36df34a8d6ed79a993358b5028c13bf53ca31a0ef26a1ea"},
+		{3, "multi", multiPageSnapshotData, 2085, "712f99648ae903e4043de3d924c91a56cf65cf9a97be15454b54145839997feb"},
 		{3, "empty", emptySnapshotData, 164, "0bf6427b3754bf09e578ee7316bcffdabd5a561d94f42c1813e0a3f91e16ff18"},
 	} {
 		withPageRows(t, tc.pageRows)
@@ -373,6 +374,76 @@ func TestSnapshotGoldenBytes(t *testing.T) {
 }
 
 func emptySnapshotData() *snapshotData { return &snapshotData{} }
+
+// postingsFiles are version-2 files from a writer that still stored each
+// dictionary code's posting list in the column metadata. Each holds
+// encodeSnapshot(data()) at the given page geometry, as that writer
+// produced it.
+var postingsFiles = []struct {
+	path     string
+	pageRows int
+	data     func() *snapshotData
+}{
+	{"testdata/postings-test.snap", 32768, testSnapshotData},
+	{"testdata/postings-multi-pagerows2.snap", 2, multiPageSnapshotData},
+}
+
+func addPostingsFiles(f *testing.F) {
+	for _, pf := range postingsFiles {
+		b, err := os.ReadFile(pf.path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+	}
+}
+
+// TestLoadsFilesWithPostingLists loads each of postingsFiles to the state
+// this writer's file of the same data loads to, and runs the fuzz targets'
+// check on it, which fetches every column lazily. It then imports the
+// columns into a query engine over a registry of the same names, kinds and
+// dictionary hint: the import holds the earlier writer's zone maps, a bool
+// column's included, to this build's rules, and must export them back
+// unchanged.
+func TestLoadsFilesWithPostingLists(t *testing.T) {
+	for _, pf := range postingsFiles {
+		t.Run(pf.path, func(t *testing.T) {
+			old, err := os.ReadFile(pf.path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			withPageRows(t, pf.pageRows)
+			dir := t.TempDir()
+			want, err := loadBytes(t, dir, encodeSnapshot(pf.data()))
+			if err != nil {
+				t.Fatalf("load of this writer's file: %v", err)
+			}
+			got, err := loadBytes(t, dir, old)
+			if err != nil {
+				t.Fatalf("load: %v", err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("loads differently from this writer's file:\n got %+v\nwant %+v", got, want)
+			}
+			checkSnapshotReader(t, dir, old)
+
+			reg := query.NewRegistry[struct{}]()
+			for _, cd := range got.columns {
+				reg.MustRegister(query.Field[struct{}]{
+					Name: cd.Name, Kind: cd.Kind, Indexable: true, Dictionary: cd.Name == "market",
+					Extract: func(struct{}) (any, bool) { return nil, false },
+				})
+			}
+			e, err := query.NewEngineFromColumns(reg, make([]struct{}, columnRows(&got.columns[0])), got.columns)
+			if err != nil {
+				t.Fatalf("import: %v", err)
+			}
+			if exported := e.ExportColumns(); !reflect.DeepEqual(exported, got.columns) {
+				t.Fatalf("import changed the columns:\n got %+v\nwant %+v", exported, got.columns)
+			}
+		})
+	}
+}
 
 // TestTortureSnapshotLengthMismatch changes the data under planned sections,
 // so that each section's bytes disagree with the length its frame already

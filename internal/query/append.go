@@ -25,11 +25,11 @@ import (
 //
 // For every field whose sorted index base has built, only the added rows are
 // sorted and merged into base's permutation. Columns and indexes base never
-// touched stay lazy on the new engine, exactly as on a cold build, and hash
-// indexes always rebuild lazily. So do a paged base's paged columns, even
-// resident ones: the build holds no pin, an eviction could hand a resident
-// column's memory to another fetch mid-copy, and a plain string column's
-// values alias a read buffer its pool lent.
+// touched stay lazy on the new engine, exactly as on a cold build, and
+// dictionary bitmaps always rebuild lazily. So do a paged base's paged
+// columns, even resident ones: the build holds no pin, an eviction could
+// hand a resident column's memory to another fetch mid-copy, and a plain
+// string column's values alias a read buffer its pool lent.
 //
 // Delta-sized epochs: the first append from base claims each of base's
 // built columns (a CAS on its slot) and writes the added rows into the spare

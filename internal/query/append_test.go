@@ -123,6 +123,48 @@ func TestAppendReusesBuiltColumns(t *testing.T) {
 	}
 }
 
+// TestAppendCarriesEqualityIndexes: == and in on a field without a
+// dictionary read its sorted index, so the indexes a base built to answer
+// them carry across an append, merged rather than rebuilt, and the new
+// engine answers exactly as a cold build does.
+func TestAppendCarriesEqualityIndexes(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	base, added := randomRows(rng, 300), randomRows(rng, 120)
+	all := append(append([]row{}, base...), added...)
+	queries := []Query{
+		{Fields: []string{"name", "flagged"}, Filters: []Filter{{Field: "flagged", Op: OpEq, Value: true}}},
+		{Fields: []string{"name", "size"}, Filters: []Filter{{Field: "size", Op: OpIn, Value: []any{3.0, 7.0, 11.0, 7.0}}}},
+	}
+	baseEng := NewEngine(testIndexedRegistry(), base)
+	for _, q := range queries {
+		if _, err := baseEng.Scan(q); err != nil {
+			t.Fatalf("base scan %+v: %v", q, err)
+		}
+	}
+	appended, err := NewEngineAppend(testIndexedRegistry(), baseEng, all)
+	if err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	for _, name := range []string{"flagged", "size"} {
+		if appended.sortedIdx[appended.ordinals[name]].ix.Load() == nil {
+			t.Fatalf("sorted index on %s was not carried across the append", name)
+		}
+	}
+	cold := NewEngine(testIndexedRegistry(), all)
+	requireSameLayout(t, appended, cold, false)
+	for i := 0; i < 60; i++ {
+		queries = append(queries, randomQuery(rng))
+	}
+	for _, q := range queries {
+		got, err1 := appended.Scan(q)
+		want, err2 := cold.Scan(q)
+		if err1 != nil || err2 != nil {
+			t.Fatalf("query %+v: appended err %v, cold err %v", q, err1, err2)
+		}
+		requireSameResult(t, q, got, want)
+	}
+}
+
 // TestAppendRegistryMismatch: a registry whose shape diverges from the
 // base's must be rejected, not silently mis-sealed.
 func TestAppendRegistryMismatch(t *testing.T) {

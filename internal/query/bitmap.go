@@ -18,7 +18,7 @@ import (
 // Dictionary-encoded columns keep one bitmap per dictionary code as their
 // posting lists, so == becomes a container walk, in becomes a linear OR and
 // conjunctions intersect with word-parallel ANDs instead of the sorted-slice
-// merges a plain string column's hash index uses. Every operation preserves
+// merges of the sorted index's windows. Every operation preserves
 // ascending row order when materialized, which is what keeps the planned
 // path's candidate lists bit-identical to the oracle's dataset-order scan.
 

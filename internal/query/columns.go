@@ -218,10 +218,18 @@ func (c *column) encodeDict() {
 }
 
 // buildZones computes the per-segment zone maps. Null and row counts are
-// exact for every kind; min/max witnesses are recorded only for ordered
+// exact for every kind; min/max witnesses are recorded only for witnessed
 // kinds without NaN, mirroring the sorted index's refusal — compareValues
 // treats NaN as equal to everything, which would make the bounds unsound.
 func (c *column) buildZones() { c.buildZonesFrom(nil) }
+
+// witnessed reports whether a kind's zone maps carry min/max witness rows.
+// Bools carry none, although the sorted index orders them: adoptZones holds
+// stored zones to this rule, so changing it would make each build refuse
+// the other's snapshots.
+func witnessed(k Kind) bool {
+	return k == KindString || k == KindInt || k == KindFloat || k == KindTime
+}
 
 // buildZonesFrom is buildZones taking the leading zones from sealed instead
 // of recomputing them: sealed must be the zones of full segments whose rows
@@ -232,7 +240,7 @@ func (c *column) buildZonesFrom(sealed []zone) {
 	if n == 0 {
 		return
 	}
-	ordered := sortable(c.kind) && !c.hasNaN
+	ordered := witnessed(c.kind) && !c.hasNaN
 	zones := make([]zone, (n+segmentSize-1)/segmentSize)
 	for s := copy(zones, sealed); s < len(zones); s++ {
 		lo := s * segmentSize

@@ -24,7 +24,7 @@ type Engine[T any] struct {
 	// (registration order, fixed at construction).
 	ordinals  map[string]int
 	cols      []colSlot
-	hashes    []hashSlot
+	dicts     []dictSlot
 	sortedIdx []sortedSlot
 
 	// chunkPool / candPool recycle the per-chunk match buffers of parallel
@@ -55,7 +55,7 @@ func NewEngine[T any](reg *Registry[T], items []T) *Engine[T] {
 		items:     items,
 		ordinals:  make(map[string]int, len(reg.order)),
 		cols:      make([]colSlot, len(reg.order)),
-		hashes:    make([]hashSlot, len(reg.order)),
+		dicts:     make([]dictSlot, len(reg.order)),
 		sortedIdx: make([]sortedSlot, len(reg.order)),
 		chunkPool: new(sync.Pool),
 		candPool:  new(sync.Pool),

@@ -10,18 +10,19 @@ import (
 )
 
 // Column export/import: the bridge between a built engine and the durable
-// snapshot format. ExportColumns freezes every typed column (and the bitmap
-// posting lists of dictionary-encoded indexable fields) into plain exported
-// slices a codec can serialize; NewEngineFromColumns rebuilds an engine from
-// those slices without re-running a single extractor.
+// snapshot format. ExportColumns freezes every typed column into plain
+// exported slices a codec can serialize; NewEngineFromColumns rebuilds an
+// engine from those slices without re-running a single extractor. Indexes
+// are not exported: an imported engine builds them lazily, from the columns,
+// as a cold one does.
 //
 // The contract mirrors NewEngineAppend's: the caller asserts that the items
 // slice is row-for-row the one the columns were built over. Import validates
 // everything structural — lengths, null-bitmap consistency, dictionary order,
-// code ranges, posting-list membership, zone maps — so a corrupted snapshot
-// fails loudly here, but value agreement between items and columns is the
-// caller's contract (the durable layer's torture suite asserts it by
-// comparing planned scans against the boxed-extractor oracle).
+// code ranges, zone maps — so a corrupted snapshot fails loudly here, but
+// value agreement between items and columns is the caller's contract (the
+// durable layer's torture suite asserts it by comparing planned scans
+// against the boxed-extractor oracle).
 
 // ZoneData is the exported form of one segment zone map.
 type ZoneData struct {
@@ -65,25 +66,18 @@ type ColumnData struct {
 	// over the imported values.
 	SegmentRows int
 	Zones       []ZoneData
-
-	// Postings, when non-nil, carries the hash index's per-dictionary-code
-	// posting lists (ascending rows); import rebuilds the compressed bitmaps
-	// from them. Only dictionary-encoded indexable fields export postings.
-	Postings [][]int32
 }
 
 // ExportColumns materializes every registered field's column (through the
 // same lazy cache scans use) and returns the exported forms in registration
 // order. The engine may be serving concurrent scans throughout. On a paged
-// engine it holds no pin, so each paged column (and its postings) is built
-// from items instead of read from the page pool.
+// engine it holds no pin, so each paged column is built from items instead
+// of read from the page pool.
 func (e *Engine[T]) ExportColumns() []ColumnData {
 	out := make([]ColumnData, 0, len(e.reg.order))
 	for ord, name := range e.reg.order {
-		f := e.reg.byName[name]
-		paged := e.pager != nil && e.pager.slots[ord] != nil
 		var c *column
-		if paged {
+		if e.pager != nil && e.pager.slots[ord] != nil {
 			c = e.pager.transientColumn(e, ord)
 		} else {
 			c = e.columnFor(ord)
@@ -116,20 +110,6 @@ func (e *Engine[T]) ExportColumns() []ColumnData {
 		}
 		cd.SegmentRows = segmentSize
 		cd.Zones = exportZones(c.zones)
-		if c.dict != nil && f.Indexable {
-			var ix *hashIndex
-			if paged {
-				ix = buildHashIndex(c)
-			} else {
-				ix = e.hashFor(ord)
-			}
-			if ix.dictBMs != nil {
-				cd.Postings = make([][]int32, len(ix.dictBMs))
-				for k, bm := range ix.dictBMs {
-					cd.Postings[k] = bm.rows()
-				}
-			}
-		}
 		out = append(out, cd)
 	}
 	return out
@@ -170,13 +150,12 @@ func NewEngineFromColumns[T any](reg *Registry[T], items []T, cols []ColumnData)
 		}
 		ords[i] = ord
 	}
-	// The per-column work — structural validation, zone rebuild-and-compare,
-	// posting-list reconstruction — is independent across columns and
-	// dominates snapshot recovery time, so fan it out; installation into the
-	// engine's slots stays serial below.
+	// The per-column work — structural validation, zone adoption or
+	// rebuild — is independent across columns and dominates snapshot
+	// recovery time, so fan it out; installation into the engine's slots
+	// stays serial below.
 	type imported struct {
 		c   *column
-		ix  *hashIndex
 		err error
 	}
 	results := make([]imported, len(cols))
@@ -184,18 +163,9 @@ func NewEngineFromColumns[T any](reg *Registry[T], items []T, cols []ColumnData)
 		cd := &cols[i]
 		c, err := importColumn(reg.byName[cd.Name].Dictionary, cd, len(items))
 		if err != nil {
-			results[i].err = fmt.Errorf("query: import: column %q: %w", cd.Name, err)
-			return
+			err = fmt.Errorf("query: import: column %q: %w", cd.Name, err)
 		}
-		results[i].c = c
-		if cd.Postings != nil {
-			ix, err := importPostings(c, cd.Postings)
-			if err != nil {
-				results[i].err = fmt.Errorf("query: import: column %q postings: %w", cd.Name, err)
-				return
-			}
-			results[i].ix = ix
-		}
+		results[i] = imported{c, err}
 	})
 	for i := range results {
 		if results[i].err != nil {
@@ -204,10 +174,6 @@ func NewEngineFromColumns[T any](reg *Registry[T], items []T, cols []ColumnData)
 		slot := &e.cols[ords[i]]
 		c := results[i].c
 		slot.once.Do(func() { slot.col.Store(c) })
-		if ix := results[i].ix; ix != nil {
-			hslot := &e.hashes[ords[i]]
-			hslot.once.Do(func() { hslot.ix = ix })
-		}
 	}
 	return e, nil
 }
@@ -347,7 +313,7 @@ func adoptZones(c *column, stored []ZoneData, n int) ([]zone, error) {
 	if len(stored) != want {
 		return nil, fmt.Errorf("stored %d segments, want %d for %d rows", len(stored), want, n)
 	}
-	ordered := sortable(c.kind) && !c.hasNaN
+	ordered := witnessed(c.kind) && !c.hasNaN
 	zones := make([]zone, len(stored))
 	for i, s := range stored {
 		lo := int32(i * segmentSize)
@@ -370,8 +336,8 @@ func adoptZones(c *column, stored []ZoneData, n int) ([]zone, error) {
 			return nil, fmt.Errorf("segment %d claims %d nulls, bitmap holds %d", i, s.Nulls, nulls)
 		}
 		if !ordered || s.Nulls == s.Rows {
-			// Unordered kinds, NaN-poisoned floats and all-null segments carry
-			// no witnesses, mirroring buildZones.
+			// Bools, NaN-poisoned floats and all-null segments carry no
+			// witnesses, mirroring buildZones.
 			if s.MinRow != -1 || s.MaxRow != -1 {
 				return nil, fmt.Errorf("segment %d has witnesses {%d %d} but must not", i, s.MinRow, s.MaxRow)
 			}
@@ -395,40 +361,4 @@ func adoptZones(c *column, stored []ZoneData, n int) ([]zone, error) {
 		zones[i] = zone{rows: s.Rows, nulls: s.Nulls, minRow: s.MinRow, maxRow: s.MaxRow}
 	}
 	return zones, nil
-}
-
-// importPostings validates exported posting lists against the column (every
-// non-null row appears exactly once, under its own code, ascending) and
-// rebuilds the per-code bitmaps.
-func importPostings(c *column, postings [][]int32) (*hashIndex, error) {
-	if c.dict == nil {
-		return nil, fmt.Errorf("postings on a non-dictionary column")
-	}
-	if len(postings) != len(c.dict) {
-		return nil, fmt.Errorf("%d posting lists for %d dictionary entries", len(postings), len(c.dict))
-	}
-	n := columnLen(c)
-	total := 0
-	ix := &hashIndex{ok: true, dict: c.dict, dictBMs: make([]*bitmap, len(postings))}
-	for k, rows := range postings {
-		bm := &bitmap{}
-		prev := int32(-1)
-		for _, row := range rows {
-			if row <= prev || int(row) >= n {
-				return nil, fmt.Errorf("code %d has row %d out of order or range", k, row)
-			}
-			if c.nulls.get(int(row)) || c.codes[row] != uint32(k) {
-				return nil, fmt.Errorf("row %d listed under code %d but holds code %d (null=%v)",
-					row, k, c.codes[row], c.nulls.get(int(row)))
-			}
-			bm.add(row)
-			prev = row
-		}
-		total += len(rows)
-		ix.dictBMs[k] = bm
-	}
-	if total != n-c.nullCount {
-		return nil, fmt.Errorf("posting lists cover %d rows, column has %d non-null", total, n-c.nullCount)
-	}
-	return ix, nil
 }

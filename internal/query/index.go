@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -12,133 +13,79 @@ import (
 // per engine and field, under sync.Once) from the field's column cache and
 // are immutable afterwards:
 //
-//   - hashIndex: value -> posting list of row ids in dataset order, for ==
-//     and in on low-cardinality string/int/bool fields.
+//   - dictIndex: one compressed bitmap per code of a dictionary-encoded
+//     string column, for == and in on it.
 //   - sortedIndex: a permutation of the non-null rows ordered by value, so
-//     range predicates (and == on kinds the hash index does not cover)
-//     binary-search to a contiguous span.
+//     range predicates on any column, and == and in on every column without
+//     a dictionary, binary-search to contiguous spans.
 //
 // Null rows appear in neither structure, which encodes the SQL null rule for
 // free: a comparison never matches a null row.
 
-// hashable reports whether a kind gets a hash index. Floats are excluded
-// because compareValues treats NaN as equal to everything, which map-key
-// equality cannot reproduce; times are excluded because their natural map
-// key (UnixNano) overflows for extreme years the comparison semantics still
-// support.
-func hashable(k Kind) bool { return k == KindString || k == KindInt || k == KindBool }
-
-// sortable reports whether a kind gets a sorted index (every ordered kind;
-// bools only ever see ==/!= which the hash index covers).
-func sortable(k Kind) bool {
-	return k == KindString || k == KindInt || k == KindFloat || k == KindTime
-}
-
-type hashIndex struct {
-	ok    bool
-	ints  map[int64][]int32
-	strs  map[string][]int32
-	boolT []int32
-	boolF []int32
-
-	// Dictionary-encoded string columns replace the strs map with one
-	// compressed bitmap per dictionary code: dict aliases the column's
-	// sorted dictionary (operands binary-search into it) and dictBMs[k] is
-	// the row set of dict[k]. == then answers with a single bitmap, in with
-	// a bitmap union, and conjunctions intersect word-parallel.
+// dictIndex is the equality index of a dictionary-encoded string column:
+// dict aliases the column's sorted dictionary (operands binary-search into
+// it) and dictBMs[k] is the row set of dict[k]. == then answers with a single
+// bitmap, in with a bitmap union, and conjunctions intersect word-parallel.
+type dictIndex struct {
 	dict    []string
 	dictBMs []*bitmap
 }
 
-type hashSlot struct {
+type dictSlot struct {
 	once sync.Once
-	ix   *hashIndex
+	ix   *dictIndex
 }
 
-func buildHashIndex(c *column) *hashIndex {
-	ix := &hashIndex{ok: hashable(c.kind)}
-	if !ix.ok {
-		return ix
+// buildDictIndex returns nil for a column without a dictionary: a plain
+// string column, or a dictionary-hinted one in plain layout or fully null.
+func buildDictIndex(c *column) *dictIndex {
+	if c.dict == nil {
+		return nil
 	}
-	switch c.kind {
-	case KindInt:
-		ix.ints = make(map[int64][]int32)
-		for i := range c.ints {
-			if !c.nulls.get(i) {
-				ix.ints[c.ints[i]] = append(ix.ints[c.ints[i]], int32(i))
-			}
-		}
-	case KindString:
-		if c.dict != nil {
-			ix.dict = c.dict
-			ix.dictBMs = make([]*bitmap, len(c.dict))
-			for k := range ix.dictBMs {
-				ix.dictBMs[k] = &bitmap{}
-			}
-			for i := range c.codes {
-				if !c.nulls.get(i) {
-					ix.dictBMs[c.codes[i]].add(int32(i))
-				}
-			}
-			break
-		}
-		ix.strs = make(map[string][]int32)
-		for i := range c.strs {
-			if !c.nulls.get(i) {
-				ix.strs[c.strs[i]] = append(ix.strs[c.strs[i]], int32(i))
-			}
-		}
-	case KindBool:
-		for i := range c.bools {
-			if c.nulls.get(i) {
-				continue
-			}
-			if c.bools[i] {
-				ix.boolT = append(ix.boolT, int32(i))
-			} else {
-				ix.boolF = append(ix.boolF, int32(i))
-			}
+	ix := &dictIndex{dict: c.dict, dictBMs: make([]*bitmap, len(c.dict))}
+	for k := range ix.dictBMs {
+		ix.dictBMs[k] = &bitmap{}
+	}
+	for i := range c.codes {
+		if !c.nulls.get(i) {
+			ix.dictBMs[c.codes[i]].add(int32(i))
 		}
 	}
 	return ix
 }
 
-// postings returns the rows equal to one normalized operand, ascending in
-// dataset order. The returned slice is shared index state: callers must not
-// mutate it.
-func (ix *hashIndex) postings(operand any) []int32 {
-	switch v := operand.(type) {
-	case int64:
-		return ix.ints[v]
-	case string:
-		return ix.strs[v]
-	case bool:
-		if v {
-			return ix.boolT
-		}
-		return ix.boolF
-	}
-	return nil
-}
-
-// dictBM returns the posting bitmap of one string operand on a
-// dictionary-backed index, nil when the operand is not in the dictionary
-// (no row can match it).
-func (ix *hashIndex) dictBM(operand any) *bitmap {
-	s, ok := operand.(string)
-	if !ok {
-		return nil
-	}
-	if k, exact := dictCode(ix.dict, s); exact {
+// dictBM returns the posting bitmap of one string operand, nil when the
+// operand is not in the dictionary (no row can match it).
+func (ix *dictIndex) dictBM(operand any) *bitmap {
+	if k, exact := dictCode(ix.dict, operand.(string)); exact {
 		return ix.dictBMs[k]
 	}
 	return nil
 }
 
-// mergePostings unions several posting lists (the in operator) into a fresh
-// ascending, duplicate-free row list; duplicate operands in the in-list must
-// not double-count rows. Each list is ascending, so its ends bound the
-// bitset rowOrder sets the rows in.
+// rowSet returns the rows an == (operand) or in (operands) filter matches:
+// one operand's bitmap, shared with the index, or a fresh union, whose OR
+// costs O(result words) and gives the exact, duplicate-free count the
+// demotion check needs. An operand absent from the dictionary matches no
+// row.
+func (ix *dictIndex) rowSet(op Op, operand any, operands []any) *bitmap {
+	if op == OpEq {
+		if bm := ix.dictBM(operand); bm != nil {
+			return bm
+		}
+		return &bitmap{}
+	}
+	bms := make([]*bitmap, len(operands))
+	for i, operand := range operands {
+		bms[i] = ix.dictBM(operand)
+	}
+	return bmOrAll(bms)
+}
+
+// mergePostings unions several row lists (the in operator's equality
+// windows) into a fresh ascending, duplicate-free row list; duplicate
+// operands in the in-list must not double-count rows. Each list is
+// ascending, so its ends bound the bitset rowOrder sets the rows in.
 func mergePostings(lists [][]int32) []int32 {
 	first, last := int32(math.MaxInt32), int32(-1)
 	for _, l := range lists {
@@ -192,8 +139,11 @@ type sortedSlot struct {
 	ix   atomic.Pointer[sortedIndex]
 }
 
+// buildSortedIndex orders every kind. A float column holding NaN gets an
+// index that is not ok: compareValues treats NaN as equal to everything,
+// which is no order a permutation can hold.
 func buildSortedIndex(c *column) *sortedIndex {
-	ix := &sortedIndex{col: c, ok: sortable(c.kind) && !c.hasNaN}
+	ix := &sortedIndex{col: c, ok: !c.hasNaN}
 	if ix.ok {
 		ix.perm = sortedRows(c, 0, columnLen(c))
 	}
@@ -228,7 +178,7 @@ func sortedRows(c *column, lo, hi int) []int32 {
 // dictionary remap is monotone, so it qualifies); a NaN arriving with the
 // added rows leaves an index that is not ok, as a cold build would.
 func extendSortedIndex(base *sortedIndex, c *column, oldN int) *sortedIndex {
-	ix := &sortedIndex{col: c, ok: sortable(c.kind) && !c.hasNaN}
+	ix := &sortedIndex{col: c, ok: !c.hasNaN}
 	if !ix.ok {
 		return ix
 	}
@@ -294,12 +244,17 @@ func (ix *sortedIndex) spanBounds(op Op, operand any) (lo, hi int) {
 }
 
 // spanRows materializes the permutation window [lo, hi) as a fresh slice in
-// ascending dataset order; an empty or inverted window yields no rows.
+// ascending dataset order; an empty or inverted window yields no rows. A
+// window holding one value (an == window) lists its rows in dataset order
+// already, so it is copied instead of set and read back through a bitset.
 func (ix *sortedIndex) spanRows(lo, hi int) []int32 {
 	if lo >= hi {
 		return []int32{}
 	}
 	span := ix.perm[lo:hi]
+	if ix.col.compareRows(int(span[0]), int(span[len(span)-1])) == 0 {
+		return slices.Clone(span)
+	}
 	first, last := span[0], span[0]
 	for _, row := range span[1:] {
 		first, last = min(first, row), max(last, row)
@@ -307,11 +262,11 @@ func (ix *sortedIndex) spanRows(lo, hi int) []int32 {
 	return rowOrder(first, last, span)
 }
 
-// hashFor / sortedFor build (at most once) the indexes of the field at
+// dictFor / sortedFor build (at most once) the indexes of the field at
 // registration ordinal ord.
-func (e *Engine[T]) hashFor(ord int) *hashIndex {
-	slot := &e.hashes[ord]
-	slot.once.Do(func() { slot.ix = buildHashIndex(e.columnFor(ord)) })
+func (e *Engine[T]) dictFor(ord int) *dictIndex {
+	slot := &e.dicts[ord]
+	slot.once.Do(func() { slot.ix = buildDictIndex(e.columnFor(ord)) })
 	return slot.ix
 }
 

@@ -12,7 +12,7 @@ import (
 
 // krow is the residual-kernel test row: one field of every kind, each of
 // which can be null, a unique id to tell rows apart, and an indexable group
-// column whose hash index hands the residual stage a candidate list.
+// column whose sorted index hands the residual stage a candidate list.
 type krow struct {
 	id, g, i int64
 	f        float64
@@ -170,7 +170,7 @@ var residualExplainDigests = map[string]uint64{
 
 // TestResidualKernelsMatchOracle runs every operator on every kind through
 // the residual kernels — a zone-pruned full scan, a candidate list from a
-// hash index (the paged engine has no index and scans in full), and the
+// sorted index (the paged engine has no index and scans in full), and the
 // where filter of an aggregate — on materialized and paged engines, with
 // and without nulls, at row counts around one block and across several
 // segments with an odd tail. Every answer must equal the oracle's, and the

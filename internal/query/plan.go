@@ -25,14 +25,12 @@ import (
 // indexedList is one filter the planner answered from an index: either a
 // row slice or a compressed bitmap (dictionary posting lists), never both.
 type indexedList struct {
-	rows []int32 // ascending dataset order; may alias shared index state
-	bm   *bitmap // compressed row set; may alias shared index state
-	desc string  // explain fragment, e.g. "hash(market)" or "bitmap(market)"
-	// owned is true when rows is a fresh allocation (a sorted-index span or
-	// an in-merge) the scan may keep and mutate; false for hash posting
-	// lists, which alias immutable index state and must be copied first.
-	// Bitmaps are never mutated, so owned is irrelevant for them.
-	owned bool
+	// rows is fresh, so the scan may keep and mutate it, and never nil: an
+	// empty list means no row can match, where matchColumns reads nil
+	// candidates as a full scan.
+	rows []int32 // ascending dataset order
+	bm   *bitmap // compressed row set; may alias the dictionary index
+	desc string  // explain fragment, e.g. "sorted(size)" or "bitmap(market)"
 }
 
 // size is the list's row count, however it is represented.
@@ -41,15 +39,6 @@ func (l *indexedList) size() int {
 		return l.bm.n
 	}
 	return len(l.rows)
-}
-
-// indexCandidate is a filter a hash index could answer, before the planner
-// has decided to: count is the (upper-bound) row count known without
-// materializing, so a non-selective candidate is demoted for free instead of
-// paying for a posting-list union it would then throw away.
-type indexCandidate struct {
-	count       int
-	materialize func() indexedList
 }
 
 // sortedWindow is the conjunction of every bound one query puts on a
@@ -62,35 +51,66 @@ type sortedWindow[T any] struct {
 	filters []compiledFilter[T]
 }
 
-// planFilters splits the compiled filters into index-answered posting lists
-// and residual predicates. Range bounds, and == on kinds without a hash
-// index, merge per field into one sortedWindow first, so `a <= x AND x < b`
-// is one exact list instead of two half-open spans. A candidate covering
-// more than half the dataset — a merged window counts once — is demoted to
+// planFilters splits the compiled filters into index-answered row lists and
+// residual predicates. == and in on a dictionary-encoded column read its
+// code bitmaps. On every other indexed field, == and the range bounds merge
+// per field into one sortedWindow first, so `a <= x AND x < b` is one exact
+// list instead of two half-open spans, and in unions its operands' equality
+// windows. A candidate covering more than half the dataset — a merged window
+// counts once, an in-list's windows by their summed lengths — is demoted to
 // residual predicates: walking (and materializing) its rows would cost more
 // than evaluating the filters inside the candidate scan.
 func (e *Engine[T]) planFilters(filters []compiledFilter[T]) (lists []indexedList, residual []compiledFilter[T]) {
 	n := len(e.items)
 	var windows []sortedWindow[T]
 	for _, cf := range filters {
-		if six := e.sortedBound(cf); six != nil {
-			i := slices.IndexFunc(windows, func(w sortedWindow[T]) bool { return w.six == six })
-			if i < 0 {
-				i = len(windows)
-				windows = append(windows, sortedWindow[T]{six: six, hi: len(six.perm)})
-			}
-			w := &windows[i]
-			lo, hi := six.spanBounds(cf.op, cf.operand)
-			w.lo, w.hi = max(w.lo, lo), min(w.hi, hi)
-			w.filters = append(w.filters, cf)
-			continue
-		}
-		cand, ok := e.indexLookup(cf)
-		if !ok || cand.count > n/2 {
+		ord, ok := e.indexedOrd(cf)
+		if !ok {
 			residual = append(residual, cf)
 			continue
 		}
-		lists = append(lists, cand.materialize())
+		if cf.op == OpEq || cf.op == OpIn {
+			if ix := e.dictFor(ord); ix != nil {
+				if bm := ix.rowSet(cf.op, cf.operand, cf.operands); bm.n > n/2 {
+					residual = append(residual, cf)
+				} else {
+					lists = append(lists, indexedList{bm: bm, desc: "bitmap(" + cf.field.Name + ")"})
+				}
+				continue
+			}
+		}
+		six := e.sortedFor(ord)
+		if !six.ok {
+			residual = append(residual, cf)
+			continue
+		}
+		if cf.op == OpIn {
+			// Each operand's window holds one value, so it is ascending in
+			// dataset order. total counts a repeated operand's rows each
+			// time; the merge dedups them.
+			spans := make([][]int32, len(cf.operands))
+			total := 0
+			for i, operand := range cf.operands {
+				lo, hi := six.spanBounds(OpEq, operand)
+				spans[i] = six.perm[lo:hi]
+				total += hi - lo
+			}
+			if total > n/2 {
+				residual = append(residual, cf)
+			} else {
+				lists = append(lists, indexedList{rows: mergePostings(spans), desc: "sorted(" + cf.field.Name + ")"})
+			}
+			continue
+		}
+		i := slices.IndexFunc(windows, func(w sortedWindow[T]) bool { return w.six == six })
+		if i < 0 {
+			i = len(windows)
+			windows = append(windows, sortedWindow[T]{six: six, hi: len(six.perm)})
+		}
+		w := &windows[i]
+		lo, hi := six.spanBounds(cf.op, cf.operand)
+		w.lo, w.hi = max(w.lo, lo), min(w.hi, hi)
+		w.filters = append(w.filters, cf)
 	}
 	for _, w := range windows {
 		if w.hi-w.lo > n/2 {
@@ -98,13 +118,13 @@ func (e *Engine[T]) planFilters(filters []compiledFilter[T]) (lists []indexedLis
 			continue
 		}
 		desc := "sorted(" + w.filters[0].field.Name + ")"
-		lists = append(lists, indexedList{rows: w.six.spanRows(w.lo, w.hi), desc: desc, owned: true})
+		lists = append(lists, indexedList{rows: w.six.spanRows(w.lo, w.hi), desc: desc})
 	}
 	return lists, residual
 }
 
 // indexedOrd returns the registration ordinal of cf's field when a secondary
-// index may answer it.
+// index may answer it: cf is an ==, in or range filter on an indexable field.
 func (e *Engine[T]) indexedOrd(cf compiledFilter[T]) (int, bool) {
 	if e.pager != nil {
 		// Paged engines plan without secondary indexes: building one would
@@ -114,6 +134,11 @@ func (e *Engine[T]) indexedOrd(cf compiledFilter[T]) (int, bool) {
 		// results are identical, only Explain differs.
 		return 0, false
 	}
+	switch cf.op {
+	case OpEq, OpIn, OpLt, OpLe, OpGt, OpGe:
+	default:
+		return 0, false
+	}
 	if !cf.field.Indexable {
 		return 0, false
 	}
@@ -121,117 +146,14 @@ func (e *Engine[T]) indexedOrd(cf compiledFilter[T]) (int, bool) {
 	return ord, ok
 }
 
-// sortedBound returns the sorted index that answers cf as one permutation
-// span — a range bound, or == on a kind the hash index does not cover — or
-// nil when cf is no such filter or its field has no usable sorted index.
-func (e *Engine[T]) sortedBound(cf compiledFilter[T]) *sortedIndex {
-	switch cf.op {
-	case OpLt, OpLe, OpGt, OpGe:
-	case OpEq:
-		if hashable(cf.field.Kind) {
-			return nil
-		}
-	default:
-		return nil
-	}
-	ord, ok := e.indexedOrd(cf)
-	if !ok {
-		return nil
-	}
-	if six := e.sortedFor(ord); six.ok {
-		return six
-	}
-	return nil
-}
-
-// indexLookup tries to answer one == or in filter from a hash index.
-func (e *Engine[T]) indexLookup(cf compiledFilter[T]) (indexCandidate, bool) {
-	ord, ok := e.indexedOrd(cf)
-	f := cf.field
-	if !ok || !hashable(f.Kind) {
-		return indexCandidate{}, false
-	}
-	desc := ""
-	switch cf.op {
-	case OpEq:
-		ix := e.hashFor(ord)
-		if ix.dictBMs != nil {
-			desc = "bitmap(" + f.Name + ")"
-			bm := ix.dictBM(cf.operand)
-			count := 0
-			if bm != nil {
-				count = bm.n
-			}
-			return indexCandidate{count: count, materialize: func() indexedList {
-				if bm == nil {
-					// Non-nil empty rows: an intersection producing zero
-					// candidates must stay distinguishable from "no index
-					// applied" (nil), which means a full scan downstream.
-					return indexedList{rows: []int32{}, desc: desc, owned: true}
-				}
-				return indexedList{bm: bm, desc: desc}
-			}}, true
-		}
-		desc = "hash(" + f.Name + ")"
-		rows := ix.postings(cf.operand)
-		return indexCandidate{count: len(rows), materialize: func() indexedList {
-			return indexedList{rows: rows, desc: desc}
-		}}, true
-	case OpIn:
-		ix := e.hashFor(ord)
-		if ix.dictBMs != nil {
-			// Union the per-code bitmaps eagerly: the OR costs O(result
-			// words), gives an exact (duplicate-free) count for the
-			// demotion check and is itself the materialized list.
-			desc = "bitmap(" + f.Name + ")"
-			bms := make([]*bitmap, 0, len(cf.operands))
-			for _, operand := range cf.operands {
-				if bm := ix.dictBM(operand); bm != nil {
-					bms = append(bms, bm)
-				}
-			}
-			merged := bmOrAll(bms)
-			return indexCandidate{count: merged.n, materialize: func() indexedList {
-				return indexedList{bm: merged, desc: desc}
-			}}, true
-		}
-		desc = "hash(" + f.Name + ")"
-		sub := make([][]int32, 0, len(cf.operands))
-		total := 0
-		for _, operand := range cf.operands {
-			rows := ix.postings(operand)
-			sub = append(sub, rows)
-			total += len(rows)
-		}
-		// total counts duplicate operands' rows twice; it is only the
-		// demotion upper bound, the merge dedups before intersection.
-		return indexCandidate{count: total, materialize: func() indexedList {
-			return indexedList{rows: mergePostings(sub), desc: desc, owned: true}
-		}}, true
-	}
-	return indexCandidate{}, false
-}
-
 // intersectLists intersects posting lists (each ascending) smallest-first,
-// returning a slice the caller owns, in dataset order. Shared (index-owned)
-// lists are copied before being written to. Bitmap lists intersect
-// word-parallel among themselves; a mixed intersection materializes the
-// bitmap product once and finishes with the in-place row-list merge.
-// The result is never nil — matchColumns reads nil candidates as "full
-// scan", and an empty intersection means the opposite: nothing can match.
+// returning a slice the caller owns, in dataset order. Bitmap lists
+// intersect word-parallel among themselves; a mixed intersection
+// materializes the bitmap product once and finishes with the in-place
+// row-list merge. Like every list, the result is never nil.
 func intersectLists(lists []indexedList) []int32 {
 	sort.Slice(lists, func(i, j int) bool { return lists[i].size() < lists[j].size() })
-	var out []int32
-	var bm *bitmap
-	switch first := lists[0]; {
-	case first.bm != nil:
-		bm = first.bm
-	case first.owned:
-		out = first.rows
-	default:
-		out = make([]int32, len(first.rows))
-		copy(out, first.rows)
-	}
+	out, bm := lists[0].rows, lists[0].bm
 	for _, l := range lists[1:] {
 		if bm != nil {
 			if l.bm != nil {
@@ -259,9 +181,6 @@ func intersectLists(lists []indexedList) []int32 {
 	}
 	if bm != nil {
 		return bm.rows()
-	}
-	if out == nil {
-		out = []int32{}
 	}
 	return out
 }

@@ -15,8 +15,9 @@ import (
 )
 
 // testIndexedRegistry is testRegistry with the index hints the planner needs
-// to exercise every index shape: hash on strings and bools, sorted on ints,
-// floats and times.
+// to exercise the sorted index on every kind. Neither string is
+// dictionary-hinted, so no code bitmap answers here; engines over
+// testDictRegistry exercise those.
 func testIndexedRegistry() *Registry[row] {
 	r := testRegistry()
 	if err := r.MarkIndexable("name", "market", "size", "rating", "flagged", "date"); err != nil {
@@ -198,15 +199,15 @@ func TestPlannerMatchesOracleParallel(t *testing.T) {
 func TestPlannerExplain(t *testing.T) {
 	e := NewEngine(testIndexedRegistry(), testRows())
 
-	// Hash index answers ==, no residual left: nothing evaluated per row.
+	// Sorted index answers ==, no residual left: nothing evaluated per row.
 	res, err := e.Scan(Query{Fields: []string{"name"}, Filters: []Filter{
 		{Field: "market", Op: OpEq, Value: "Tencent Myapp"}}})
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
 	ex := res.Meta.Explain
-	if ex == nil || ex.IndexUsed != "hash(market)" || ex.DatasetRows != 5 || ex.Candidates != 2 || ex.ResidualScanned != 0 {
-		t.Fatalf("hash-eq explain = %+v", ex)
+	if ex == nil || ex.IndexUsed != "sorted(market)" || ex.DatasetRows != 5 || ex.Candidates != 2 || ex.ResidualScanned != 0 {
+		t.Fatalf("eq explain = %+v", ex)
 	}
 	if res.Meta.Scanned != 0 {
 		t.Fatalf("Scanned = %d, want 0 (index answered everything)", res.Meta.Scanned)
@@ -250,7 +251,7 @@ func TestPlannerExplain(t *testing.T) {
 		t.Fatalf("scan: %v", err)
 	}
 	ex = res.Meta.Explain
-	if ex == nil || ex.IndexUsed != "hash(market)+sorted(size)" || ex.Candidates != 1 {
+	if ex == nil || ex.IndexUsed != "sorted(market)+sorted(size)" || ex.Candidates != 1 {
 		t.Fatalf("intersection explain = %+v", ex)
 	}
 	if res.Meta.TotalMatched != 1 {
@@ -296,8 +297,8 @@ func windowRows(rng *rand.Rand, n int) []row {
 
 // randomWindowQuery puts 2–3 bounds on one sorted field — size, rating or
 // date — so windows come out narrow, wide, inverted (empty) or pinned by an
-// == on the float and time fields. Sometimes a hash-indexed filter on
-// another field joins them.
+// == on the float and time fields. Sometimes an indexed == on another field
+// joins them.
 func randomWindowQuery(rng *rand.Rand) Query {
 	field := []string{"size", "rating", "date"}[rng.Intn(3)]
 	operand := func() any {
@@ -358,7 +359,7 @@ func TestRangeWindowsMatchOracle(t *testing.T) {
 					(ex.ResidualScanned != 0 || ex.Candidates != planned.Meta.TotalMatched) {
 					t.Fatalf("query %d (%+v): window not exact: %+v", i, q, ex)
 				}
-				if strings.Count(ex.IndexUsed, "sorted(") > 1 {
+				if strings.Count(ex.IndexUsed, "sorted("+field+")") > 1 {
 					t.Fatalf("query %d (%+v): window split into %q", i, q, ex.IndexUsed)
 				}
 			}

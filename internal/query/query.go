@@ -86,8 +86,9 @@ type FieldInfo struct {
 	// parse).
 	Nullable bool `json:"nullable,omitempty"`
 	// Indexable marks fields the planner may answer through a secondary
-	// index (hash posting lists for == / in, a sorted index for ranges)
-	// instead of scanning every row.
+	// index (code bitmaps for == / in on dictionary-encoded strings, a
+	// sorted index for ranges and every other == / in) instead of scanning
+	// every row.
 	Indexable bool `json:"indexable,omitempty"`
 	// Dictionary marks string fields hinted for dictionary encoding (int
 	// codes into a sorted dictionary, bitmap posting lists when also
@@ -148,9 +149,9 @@ type Query struct {
 // path.
 type Explain struct {
 	// IndexUsed names the secondary indexes the planner consulted, e.g.
-	// "bitmap(market)" (dictionary-encoded equality), "hash(market_chinese)"
-	// or "hash(flagged)+sorted(av_positives)". Empty when the scan fell back
-	// to a full column scan.
+	// "bitmap(market)" (dictionary-encoded equality), "sorted(market_chinese)"
+	// or "sorted(av_positives)+sorted(flagged)". Empty when the scan fell
+	// back to a full column scan.
 	IndexUsed string `json:"index_used,omitempty"`
 	// DatasetRows is the total dataset size — what Meta.Scanned always
 	// reported before the planner existed — so clients can still compute

@@ -16,17 +16,17 @@ type Field[T any] struct {
 	Kind     Kind
 	Doc      string
 	Nullable bool
-	// Indexable lets the engine build secondary indexes (hash posting
-	// lists, a sorted permutation) over this field, so == / in / range
-	// filters can skip the full scan. Meant for fields that are filtered
+	// Indexable lets the engine build secondary indexes (code bitmaps on a
+	// dictionary-encoded string, a sorted permutation) over this field, so
+	// == / in / range filters can skip the full scan. Meant for fields that are filtered
 	// often and cheap to index: low-cardinality strings and bools, and the
 	// numeric fields range queries target.
 	Indexable bool
 	// Dictionary marks a low-cardinality string field for dictionary
 	// encoding: the engine stores the column as int codes into a sorted
 	// dictionary of distinct values, group-by keys compare as ints, and —
-	// combined with Indexable — == / in posting lists become compressed
-	// bitmaps. The hint is ignored for non-string kinds and for columns
+	// combined with Indexable — == / in read one compressed bitmap per
+	// code. The hint is ignored for non-string kinds and for columns
 	// whose observed cardinality turns out too high to benefit (the column
 	// silently stays plain). Results are bit-identical either way; only the
 	// layout changes.

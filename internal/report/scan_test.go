@@ -63,7 +63,7 @@ func TestScanTableWithExplain(t *testing.T) {
 		Fields: []query.FieldInfo{{Name: "package", Category: "metadata", Kind: query.KindString}},
 		Rows:   [][]any{{"com.example.a"}},
 		Meta: query.Meta{Scanned: 12, TotalMatched: 1, Returned: 1, QueryTimeMicros: 3,
-			Explain: &query.Explain{IndexUsed: "hash(market)", DatasetRows: 500, Candidates: 12, ResidualScanned: 12}},
+			Explain: &query.Explain{IndexUsed: "sorted(market)", DatasetRows: 500, Candidates: 12, ResidualScanned: 12}},
 	}
 	out := ScanTable("scan", res)
 	// The denominator stays the dataset size even though the index pruned
@@ -72,7 +72,7 @@ func TestScanTableWithExplain(t *testing.T) {
 		t.Errorf("explain-backed meta line wrong:\n%s", out)
 	}
 	ex := ScanExplain(res.Meta)
-	for _, want := range []string{"index=hash(market)", "rows=500", "candidates=12", "residual_scanned=12", "evaluated=12"} {
+	for _, want := range []string{"index=sorted(market)", "rows=500", "candidates=12", "residual_scanned=12", "evaluated=12"} {
 		if !strings.Contains(ex, want) {
 			t.Errorf("explain rendering missing %q: %q", want, ex)
 		}
