@@ -9,7 +9,7 @@
 //	          [-rate R] [-gzip=false]
 //	          [-analysis] [-hold-back F] [-release-every D] [-release-batch N]
 //	          [-data-dir DIR] [-fsync always|interval|off] [-fsync-interval D]
-//	          [-snapshot-every N] [-page-budget BYTES] [-page-retry N]
+//	          [-snapshot-every N] [-page-budget BYTES]
 //	          [-pprof ADDR]
 //
 // With -port 0 every market binds an ephemeral port instead of a consecutive
@@ -41,11 +41,11 @@
 // stay on disk and page in on first touch, with at most BYTES of decoded
 // column data resident (scans in flight always complete — their pinned
 // working set is exempt). A request whose working set cannot be pinned, or
-// whose column fetch keeps failing past -page-retry attempts, degrades to a
-// clean 503 with Retry-After rather than a wrong answer. 0 (the default)
-// materializes everything eagerly; negative pages lazily without a bound.
-// Requires -data-dir. The endpoint's /metrics exposes the paged_* residency
-// and fault gauges.
+// whose column fetch still fails after two retries, degrades to a clean 503
+// with Retry-After rather than a wrong answer. 0 (the default) materializes
+// everything eagerly; negative pages lazily without a bound. Requires
+// -data-dir. The endpoint's /metrics exposes the paged_* residency and fault
+// gauges.
 //
 // On SIGINT/SIGTERM the process stops accepting connections, drains in-flight
 // requests under a deadline, then flushes the WAL and writes a parting
@@ -134,7 +134,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 	fsyncEvery := fs.Duration("fsync-interval", 100*time.Millisecond, "WAL sync period with -fsync=interval")
 	snapshotEvery := fs.Int("snapshot-every", 64, "write a column-store snapshot every N applied deltas with -data-dir (0 = only at shutdown)")
 	pageBudget := fs.Int64("page-budget", 0, "resident byte budget for lazily paged snapshot columns with -data-dir (0 = materialize eagerly, negative = page without a bound)")
-	pageRetry := fs.Int("page-retry", 2, "transient column-fetch retries before a paged request degrades to 503")
 	holdBack := fs.Float64("hold-back", 0, "fraction of each market's catalog withheld at startup and released while serving (0..0.9)")
 	releaseEvery := fs.Duration("release-every", 5*time.Second, "interval between releases of held-back listings")
 	releaseBatch := fs.Int("release-batch", 25, "held-back listings released per interval")
@@ -265,7 +264,6 @@ func run(args []string, stdout io.Writer, stop <-chan os.Signal) error {
 			fsyncInterval: *fsyncEvery,
 			snapshotEvery: *snapshotEvery,
 			pageBudget:    *pageBudget,
-			pageRetry:     *pageRetry,
 		})
 		if err != nil {
 			return err
@@ -432,7 +430,6 @@ type analysisConfig struct {
 	fsyncInterval time.Duration
 	snapshotEvery int
 	pageBudget    int64
-	pageRetry     int
 }
 
 // newAnalysisServer builds the delta-fed analysis endpoint: a market.Server
@@ -475,7 +472,6 @@ func newAnalysisServer(serveCfg market.ServeConfig, cfg analysisConfig) (*market
 		FsyncInterval: cfg.fsyncInterval,
 		SnapshotEvery: cfg.snapshotEvery,
 		PageBudget:    cfg.pageBudget,
-		PageRetries:   cfg.pageRetry,
 		Ingest:        ingOpts,
 	})
 	if err != nil {

@@ -47,13 +47,14 @@ type Options struct {
 	// working set always completes). 0 disables paging (fully materialized,
 	// the default); negative means page lazily with no residency bound.
 	PageBudget int64
-	// PageRetries bounds transient fetch-failure retries per page-in; 0 means
-	// 2, negative means none.
-	PageRetries int
-	// PageRetryDelay is the initial retry backoff (doubled per attempt);
-	// 0 means 2ms.
-	PageRetryDelay time.Duration
 }
+
+// A page-in retries a transient fetch failure pageRetries times, waiting
+// pageRetryDelay before the first retry and doubling it before each next.
+const (
+	pageRetries    = 2
+	pageRetryDelay = 2 * time.Millisecond
+)
 
 // Store is a crash-safe ingest.Applier: every acknowledged delta is in the
 // WAL first (per the fsync policy), snapshots bound replay work, and Open
@@ -139,17 +140,7 @@ func Open(opts Options) (*Store, error) {
 		if budget < 0 {
 			budget = 0 // NewPagePool treats a non-positive budget as unbounded
 		}
-		retries := opts.PageRetries
-		if retries == 0 {
-			retries = 2
-		} else if retries < 0 {
-			retries = 0
-		}
-		delay := opts.PageRetryDelay
-		if delay <= 0 {
-			delay = 2 * time.Millisecond
-		}
-		s.pool = query.NewPagePool(budget, retries, delay)
+		s.pool = query.NewPagePool(budget, pageRetries, pageRetryDelay)
 		s.m.attachPagePool(s.pool)
 	}
 	if err := s.fsys.MkdirAll(s.dir, 0o755); err != nil {

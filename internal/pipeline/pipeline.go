@@ -14,9 +14,12 @@
 // Consumers beyond the enrichment pipeline: the analysis scheduler runs its
 // dependency-ordered task waves on ForEach, the clone-detection index sweeps
 // on it too, Cache memoizes the per-APK AV scans, and the query engine's
-// parallel scan and grouping stages follow the same chunk-and-merge-in-order
-// discipline — one discipline carrying the repo's determinism-under-
-// parallelism argument end to end.
+// planned path runs every parallel stage on ForEach — its residual scan and
+// both grouping routes one index per row chunk, merged in chunk order, and
+// its per-group fill one index per group — one discipline carrying the
+// repo's determinism-under-parallelism argument end to end. The query
+// engine's row-at-a-time oracle keeps a fan-out of its own, so its
+// equivalence tests never run both sides through one fan-out.
 package pipeline
 
 import (

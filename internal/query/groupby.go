@@ -7,9 +7,10 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"marketscope/internal/pipeline"
 )
 
 // The planned grouped-aggregation executor: the request filters run through
@@ -48,9 +49,21 @@ func (e *Engine[T]) aggregatePlanned(ctx context.Context, pa *preparedAgg[T], st
 		cells[s] = e.compileAggCell(&pa.specs[s], len(matched))
 	}
 
+	// Groups are independent (each writes only its slot) and their order is
+	// fixed before the fan-out, so the output is deterministic. Every group
+	// checks cancellation before it is filled.
 	cancel := newCanceler(ctx)
 	rows := make([][]any, len(groups))
-	fill := func(gi int) {
+	workers := 1
+	if len(matched) >= parallelThreshold {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var cancelled atomic.Bool
+	pipeline.ForEach(len(groups), workers, func(gi int) {
+		if cancel.hit() {
+			cancelled.Store(true)
+			return
+		}
 		g := groups[gi]
 		out := make([]any, 0, len(pa.infos))
 		for _, ord := range pa.groupOrds {
@@ -60,45 +73,7 @@ func (e *Engine[T]) aggregatePlanned(ctx context.Context, pa *preparedAgg[T], st
 			out = append(out, c.compute(g.rows))
 		}
 		rows[gi] = out
-	}
-	var cancelled atomic.Bool
-	if len(matched) >= parallelThreshold && len(groups) > 1 {
-		// Groups are independent (each writes only its slot), so fan them
-		// out; group order is fixed before the fan-out, keeping the output
-		// deterministic. Workers re-check cancellation before every group.
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(groups) {
-			workers = len(groups)
-		}
-		var wg sync.WaitGroup
-		next := make(chan int)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for gi := range next {
-					if cancel.hit() {
-						cancelled.Store(true)
-						continue // drain the channel so the feeder never blocks
-					}
-					fill(gi)
-				}
-			}()
-		}
-		for gi := range groups {
-			next <- gi
-		}
-		close(next)
-		wg.Wait()
-	} else {
-		for gi := range groups {
-			if gi%16 == 0 && cancel.hit() {
-				cancelled.Store(true)
-				break
-			}
-			fill(gi)
-		}
-	}
+	})
 	if cancelled.Load() {
 		return nil, ctx.Err()
 	}
@@ -141,20 +116,54 @@ func (e *Engine[T]) groupRows(ctx context.Context, pa *preparedAgg[T], matched [
 	return groupRowsBytes(ctx, cancel, matched, groupCols)
 }
 
+// hashedChunk is one chunk's partial grouping on a hash path: keys in
+// first-occurrence order plus the rows collected under each.
+type hashedChunk[K comparable] struct {
+	keys []K
+	rows [][]int32
+}
+
+// groupHashed runs a hash path's per-chunk grouping on every chunk of n
+// matched rows and merges the chunks in chunk order, keys in chunk-local
+// first-occurrence order: concatenating each group's per-chunk row lists in
+// that order reassembles ascending dataset order. groupChunk returns nil for
+// a chunk abandoned to cancellation.
+func groupHashed[K comparable](ctx context.Context, n int, groupChunk func(w, lo, hi int) *hashedChunk[K]) ([]*colGroup, error) {
+	chunks := forChunks(chunking(n), groupChunk)
+	for _, ch := range chunks {
+		if ch == nil {
+			return nil, ctx.Err()
+		}
+	}
+	index := map[K]int{}
+	var groups []*colGroup
+	for _, ch := range chunks {
+		for ki, key := range ch.keys {
+			gi, ok := index[key]
+			if !ok {
+				gi = len(groups)
+				index[key] = gi
+				groups = append(groups, &colGroup{firstRow: ch.rows[ki][0]})
+			}
+			groups[gi].rows = append(groups[gi].rows, ch.rows[ki]...)
+		}
+	}
+	return groups, nil
+}
+
 // groupRowsBytes is groupRows' general path: each row's group key is the
 // byte encoding of its values in groupCols, grouped through a string map
 // per chunk.
 func groupRowsBytes(ctx context.Context, cancel canceler, matched []int32, groupCols []*column) ([]*colGroup, error) {
-	// chunkGroups is one chunk's partial grouping: keys in first-occurrence
-	// order plus the rows collected under each. nil marks a chunk abandoned
-	// to cancellation.
-	type chunkGroups struct {
-		keys  []string
+	// The string map lives in the chunk's struct, where the packed map path
+	// keeps its uint64 map local: TestPackedGroupKeysWithBools' allocation
+	// margin between the two routes is one allocation.
+	type byteChunk struct {
+		hashedChunk[string]
 		index map[string]int
-		rows  [][]int32
 	}
-	groupChunk := func(lo, hi int) *chunkGroups {
-		ch := &chunkGroups{index: map[string]int{}}
+	return groupHashed(ctx, len(matched), func(_, lo, hi int) *hashedChunk[string] {
+		ch := &byteChunk{index: map[string]int{}}
 		var buf []byte
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelStride == 0 && cancel.hit() {
@@ -175,66 +184,8 @@ func groupRowsBytes(ctx context.Context, cancel canceler, matched []int32, group
 			}
 			ch.rows[gi] = append(ch.rows[gi], matched[i])
 		}
-		return ch
-	}
-
-	var chunks []*chunkGroups
-	var started int
-	if len(matched) < parallelThreshold {
-		started = 1
-		chunks = []*chunkGroups{groupChunk(0, len(matched))}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(matched) {
-			workers = len(matched)
-		}
-		chunk := (len(matched) + workers - 1) / workers
-		chunks = make([]*chunkGroups, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(matched) {
-				hi = len(matched)
-			}
-			if lo >= hi {
-				break
-			}
-			started++
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				chunks[w] = groupChunk(lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-	}
-	for _, ch := range chunks[:started] {
-		if ch == nil {
-			return nil, ctx.Err()
-		}
-	}
-
-	// Deterministic merge: chunks in chunk order, keys in chunk-local
-	// first-occurrence order. Concatenating each group's per-chunk row lists
-	// in that order reassembles ascending dataset order.
-	index := map[string]int{}
-	var groups []*colGroup
-	for _, ch := range chunks {
-		if ch == nil {
-			continue
-		}
-		for ki, key := range ch.keys {
-			gi, ok := index[key]
-			if !ok {
-				gi = len(groups)
-				index[key] = gi
-				groups = append(groups, &colGroup{firstRow: ch.rows[ki][0]})
-			}
-			groups[gi].rows = append(groups[gi].rows, ch.rows[ki]...)
-		}
-	}
-	return groups, nil
+		return &ch.hashedChunk
+	})
 }
 
 // packedKeyer returns a per-row group-key packer when every group column is
@@ -289,47 +240,20 @@ func packedKeyer(groupCols []*column) (keyAt func(int) uint64, keyBits int, ok b
 // dictionary group-by (e.g. market × category packs into ~10 bits).
 const denseKeyBits = 16
 
-// groupChunkBounds splits matched into the contiguous chunks grouping
-// parallelizes over: one chunk below parallelThreshold, else one per
-// GOMAXPROCS worker. Both grouping passes must use identical bounds — the
-// chunk-order merge is what makes parallel group order deterministic.
-func groupChunkBounds(n int) [][2]int {
-	if n < parallelThreshold {
-		return [][2]int{{0, n}}
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var bounds [][2]int
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		bounds = append(bounds, [2]int{lo, hi})
-	}
-	return bounds
-}
-
-// groupRowsPacked is groupRows' fast path over packed uint64 group keys:
-// identical chunking, identical chunk-order merge, so group order
-// (first occurrence) and per-group row order (ascending) are bit-identical
-// to the byte-key path and the oracle. Small key spaces take the dense
-// counting-sort path; wide keys group through a uint64 map per chunk. Both
-// produce the same output, so the choice never shows in results.
+// groupRowsPacked is groupRows' fast path over packed uint64 group keys.
+// Small key spaces take the dense counting-sort path; wide keys group
+// through a uint64 map per chunk and merge through groupHashed, as the
+// byte-key path does. Both split the rows with chunking and merge in chunk
+// order, so group order (first occurrence) and per-group row order
+// (ascending) are bit-identical to the byte-key path and the oracle, and
+// the choice never shows in results.
 func groupRowsPacked(ctx context.Context, cancel canceler, matched []int32, keyAt func(int) uint64, keyBits int) ([]*colGroup, error) {
 	if keyBits <= denseKeyBits && 1<<keyBits <= 8*len(matched) {
 		return groupRowsPackedDense(ctx, cancel, matched, keyAt, keyBits)
 	}
-	type chunkGroups struct {
-		keys []uint64
-		rows [][]int32
-	}
-	groupChunk := func(lo, hi int) *chunkGroups {
+	return groupHashed(ctx, len(matched), func(_, lo, hi int) *hashedChunk[uint64] {
 		index := map[uint64]int32{}
-		ch := &chunkGroups{}
+		ch := &hashedChunk[uint64]{}
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelStride == 0 && cancel.hit() {
 				return nil
@@ -345,62 +269,7 @@ func groupRowsPacked(ctx context.Context, cancel canceler, matched []int32, keyA
 			ch.rows[gi] = append(ch.rows[gi], matched[i])
 		}
 		return ch
-	}
-
-	var chunks []*chunkGroups
-	var started int
-	if len(matched) < parallelThreshold {
-		started = 1
-		chunks = []*chunkGroups{groupChunk(0, len(matched))}
-	} else {
-		workers := runtime.GOMAXPROCS(0)
-		if workers > len(matched) {
-			workers = len(matched)
-		}
-		chunk := (len(matched) + workers - 1) / workers
-		chunks = make([]*chunkGroups, workers)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > len(matched) {
-				hi = len(matched)
-			}
-			if lo >= hi {
-				break
-			}
-			started++
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				chunks[w] = groupChunk(lo, hi)
-			}(w, lo, hi)
-		}
-		wg.Wait()
-	}
-	for _, ch := range chunks[:started] {
-		if ch == nil {
-			return nil, ctx.Err()
-		}
-	}
-
-	index := map[uint64]int{}
-	var groups []*colGroup
-	for _, ch := range chunks {
-		if ch == nil {
-			continue
-		}
-		for ki, key := range ch.keys {
-			gi, ok := index[key]
-			if !ok {
-				gi = len(groups)
-				index[key] = gi
-				groups = append(groups, &colGroup{firstRow: ch.rows[ki][0]})
-			}
-			groups[gi].rows = append(groups[gi].rows, ch.rows[ki]...)
-		}
-	}
-	return groups, nil
+	})
 }
 
 // groupRowsPackedDense groups through a two-pass counting sort: pass one
@@ -424,7 +293,8 @@ func groupRowsPackedDense(ctx context.Context, cancel canceler, matched []int32,
 		keys   []uint64 // first-occurrence order within the chunk
 		counts []int32  // dense per-key row count
 	}
-	countChunk := func(lo, hi int) *chunkCounts {
+	split := chunking(len(matched))
+	chunks := forChunks(split, func(_, lo, hi int) *chunkCounts {
 		ch := &chunkCounts{counts: make([]int32, 1<<keyBits)}
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelStride == 0 && cancel.hit() {
@@ -438,23 +308,7 @@ func groupRowsPackedDense(ctx context.Context, cancel canceler, matched []int32,
 			ch.counts[key]++
 		}
 		return ch
-	}
-
-	bounds := groupChunkBounds(len(matched))
-	chunks := make([]*chunkCounts, len(bounds))
-	if len(bounds) == 1 {
-		chunks[0] = countChunk(bounds[0][0], bounds[0][1])
-	} else {
-		var wg sync.WaitGroup
-		for w, b := range bounds {
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				chunks[w] = countChunk(lo, hi)
-			}(w, b[0], b[1])
-		}
-		wg.Wait()
-	}
+	})
 	for _, ch := range chunks {
 		if ch == nil {
 			return nil, ctx.Err()
@@ -489,7 +343,7 @@ func groupRowsPackedDense(ctx context.Context, cancel canceler, matched []int32,
 	}
 
 	backing := make([]int32, len(matched))
-	fillChunk := func(w, lo, hi int) bool {
+	filled := forChunks(split, func(w, lo, hi int) bool {
 		cur := cursors[w]
 		for i := lo; i < hi; i++ {
 			if (i-lo)%cancelStride == 0 && cancel.hit() {
@@ -500,21 +354,7 @@ func groupRowsPackedDense(ctx context.Context, cancel canceler, matched []int32,
 			cur[g]++
 		}
 		return true
-	}
-	filled := make([]bool, len(bounds))
-	if len(bounds) == 1 {
-		filled[0] = fillChunk(0, bounds[0][0], bounds[0][1])
-	} else {
-		var wg sync.WaitGroup
-		for w, b := range bounds {
-			wg.Add(1)
-			go func(w, lo, hi int) {
-				defer wg.Done()
-				filled[w] = fillChunk(w, lo, hi)
-			}(w, b[0], b[1])
-		}
-		wg.Wait()
-	}
+	})
 	for _, ok := range filled {
 		if !ok {
 			return nil, ctx.Err()

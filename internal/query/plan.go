@@ -2,11 +2,9 @@ package query
 
 import (
 	"context"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -314,9 +312,9 @@ func zonePruner(col *column, op Op, operand any, operands []any, wantNull bool) 
 // decide per segment whether any row can match, whole skipped segments never
 // reach a kernel, and the skip/scan tallies land in explain (which may be
 // nil). Rows move through the kernels a block at a time, and a full-scan
-// block never crosses a segment. Output is ascending dataset order; large
-// inputs fan out across CPUs in chunk order exactly like the oracle's
-// match(). The canceler is polled once per block; a cancelled scan joins
+// block never crosses a segment. Output is ascending dataset order: large
+// inputs fan out across CPUs (forChunks) and the parts are concatenated in
+// chunk order. The canceler is polled once per block; a cancelled scan joins
 // every worker, recycles the chunk buffers and returns ctx.Err().
 func (e *Engine[T]) matchColumns(ctx context.Context, filters []compiledFilter[T], candidates []int32, explain *Explain) ([]int32, error) {
 	cancel := newCanceler(ctx)
@@ -386,50 +384,29 @@ func (e *Engine[T]) matchColumns(ctx context.Context, filters []compiledFilter[T
 		}
 		return out, true
 	}
-	if n < parallelThreshold {
+	split := chunking(n)
+	if split.count == 1 {
 		out, ok := scanChunk(0, n, make([]int32, 0, e.capHint(n)))
 		if !ok {
 			return nil, ctx.Err()
 		}
 		return out, nil
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	parts := make([][]int32, workers)
 	var cancelled atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	parts := forChunks(split, func(_, lo, hi int) []int32 {
+		buf, _ := e.candPool.Get().([]int32)
+		if cap(buf) == 0 {
+			buf = make([]int32, 0, e.capHint(hi-lo))
 		}
-		if lo >= hi {
-			break
+		part, ok := scanChunk(lo, hi, buf[:0])
+		if !ok {
+			cancelled.Store(true)
 		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			buf, _ := e.candPool.Get().([]int32)
-			if cap(buf) == 0 {
-				buf = make([]int32, 0, e.capHint(hi-lo))
-			}
-			part, ok := scanChunk(lo, hi, buf[:0])
-			if !ok {
-				cancelled.Store(true)
-			}
-			parts[w] = part
-		}(w, lo, hi)
-	}
-	wg.Wait()
+		return part
+	})
 	if cancelled.Load() {
 		for _, p := range parts {
-			if p != nil {
-				e.candPool.Put(p[:0]) //nolint:staticcheck // slice reuse is the point
-			}
+			e.candPool.Put(p[:0]) //nolint:staticcheck // slice reuse is the point
 		}
 		return nil, ctx.Err()
 	}
